@@ -167,9 +167,8 @@ func New(baseURL string, opts ...Option) *Client {
 // Compile-time guarantee: a remote client is a drop-in Service, and a
 // lease-aware one — Worker drives the scheduler through these.
 var (
-	_ hyrec.Service    = (*Client)(nil)
-	_ hyrec.JobSource  = (*Client)(nil)
-	_ hyrec.LeaseAcker = (*Client)(nil)
+	_ hyrec.Service   = (*Client)(nil)
+	_ hyrec.JobSource = (*Client)(nil)
 )
 
 // APIError is a non-2xx response carrying the server's typed error
@@ -422,7 +421,7 @@ func (c *Client) hasDeadline(ctx context.Context) bool {
 	return ok
 }
 
-// Ack implements hyrec.LeaseAcker remotely: POST /v1/ack.
+// Ack implements hyrec.JobSource remotely: POST /v1/ack.
 func (c *Client) Ack(ctx context.Context, lease uint64, done bool) error {
 	if handled, err := c.framedAck(ctx, lease, done); handled {
 		return err

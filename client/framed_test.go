@@ -394,8 +394,9 @@ func TestFramedDropFallsBackToJSON(t *testing.T) {
 	}
 }
 
-// replRecorder implements the server's Replicator surface on top of an
-// engine, recording what the framed replication lane delivers.
+// replRecorder implements the server's NodePlane on top of an engine,
+// recording what the framed replication lane delivers; the other node
+// plane methods are inert.
 type replRecorder struct {
 	*hyrec.Engine
 	mu      sync.Mutex
@@ -408,6 +409,12 @@ func (r *replRecorder) Replicate(_ context.Context, b *wire.ReplBatch) (*wire.Re
 	r.batches = append(r.batches, b)
 	return &wire.ReplAck{Applied: len(b.Users), Seq: b.Seq}, nil
 }
+
+func (r *replRecorder) ApplyNodeMap(context.Context, *wire.NodeMap) error { return nil }
+
+func (r *replRecorder) LocateUser(hyrec.UserID) (wire.NodeRef, bool) { return wire.NodeRef{}, false }
+
+func (r *replRecorder) NodeEpoch() uint64 { return 0 }
 
 // TestFramedReplicateSecret drives Replicate over the framed lane with
 // the node-plane secret — functionally pinning that the client's

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hyrec/internal/cluster"
+	"hyrec/internal/server"
 	"hyrec/internal/wire"
 )
 
@@ -17,9 +18,10 @@ import (
 // neighbourhoods. See internal/cluster for the full model.
 type Cluster = cluster.Cluster
 
-// ClusterHTTPServer exposes a Cluster over the paper's web API, fanning
-// requests out to the owning partition.
-type ClusterHTTPServer = cluster.HTTPServer
+// ClusterHTTPServer exposes a Cluster over the paper's web API: the same
+// server as for a single engine, with routing to the owning partition
+// inside the Cluster's methods.
+type ClusterHTTPServer = server.HTTPServer
 
 // NewCluster builds a cluster of nParts engines sharing cfg; partition i
 // runs with a seed derived from cfg.Seed. A 1-partition cluster behaves
@@ -34,18 +36,18 @@ func NewCluster(cfg Config, nParts int) *Cluster { return cluster.New(cfg, nPart
 // GET /v1/topology and returned by Cluster.Topology.
 type Topology = wire.Topology
 
-// NewClusterHTTPServer wraps a cluster with the fan-out web API;
-// rotateEvery > 0 rotates every partition's anonymous mapping
-// periodically in the background (call Start).
+// NewClusterHTTPServer wraps a cluster with the web API; rotateEvery > 0
+// rotates every partition's anonymous mapping periodically in the
+// background (call Start).
 func NewClusterHTTPServer(c *Cluster, rotateEvery time.Duration) *ClusterHTTPServer {
-	return cluster.NewHTTPServer(c, rotateEvery)
+	return server.NewServer(c, rotateEvery)
 }
 
 // ClusterHandler returns a ready-to-serve http.Handler fanning out over
 // c's partitions, with anonymiser rotation every rotateEvery (0
 // disables): the cluster analogue of Handler.
 func ClusterHandler(c *Cluster, rotateEvery time.Duration) http.Handler {
-	s := cluster.NewHTTPServer(c, rotateEvery)
+	s := NewClusterHTTPServer(c, rotateEvery)
 	s.Start()
 	return s.Handler()
 }

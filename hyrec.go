@@ -34,6 +34,7 @@
 package hyrec
 
 import (
+	"fmt"
 	"net/http"
 	"time"
 
@@ -69,8 +70,9 @@ type (
 // Server-side types.
 type (
 	// Service is the single front-end API every deployment shape
-	// implements: *Engine, *Cluster, and the typed HTTP client. See
-	// internal/server for the capability interfaces transports probe.
+	// implements: *Engine, *Cluster, and the typed HTTP client. The
+	// in-process shapes implement the wider server.Backend contract the
+	// HTTP server is built on (see NewServiceServer).
 	Service = server.Service
 	// Config parametrises an Engine.
 	Config = server.Config
@@ -129,24 +131,22 @@ var (
 	ErrOverloaded = server.ErrOverloaded
 )
 
-// Scheduler-facing capability interfaces (see internal/sched for the
-// lifecycle). Front-ends that run the asynchronous scheduler — an Engine
-// or Cluster with Config.LeaseTTL or Config.FallbackWorkers set, and the
-// typed client speaking to such a server — implement both; transports
-// and harnesses probe for them with type assertions, so the Service
-// interface itself is unchanged.
-type (
-	// JobSource dispatches leased jobs to pull-based workers.
-	JobSource = server.JobSource
-	// LeaseAcker completes or abandons a lease without a result.
-	LeaseAcker = server.LeaseAcker
-)
+// JobSource is the scheduler-facing worker interface (see internal/sched
+// for the lifecycle): NextJob leases the stalest user's job to a
+// pull-based worker, Ack completes or abandons a lease without a result.
+// *Engine, *Cluster and the typed client all implement it; without the
+// asynchronous scheduler (Config.LeaseTTL and Config.FallbackWorkers
+// unset) NextJob answers no work and Ack reports ErrUnknownLease.
+type JobSource = server.JobSource
 
 // Compile-time guarantees of the one-API contract: both deployment
-// shapes satisfy Service. (hyrec/client asserts the same for *Client.)
+// shapes satisfy Service and JobSource. (hyrec/client asserts the same
+// for *Client.)
 var (
-	_ Service = (*Engine)(nil)
-	_ Service = (*Cluster)(nil)
+	_ Service   = (*Engine)(nil)
+	_ Service   = (*Cluster)(nil)
+	_ JobSource = (*Engine)(nil)
+	_ JobSource = (*Cluster)(nil)
 )
 
 // DefaultConfig returns the paper's default parameters (k=10, r=10).
@@ -181,14 +181,20 @@ type HTTPServer = server.HTTPServer
 // NewHTTPServer wraps an engine with the web API; rotateEvery > 0 rotates
 // the anonymous mapping periodically in the background (call Start).
 func NewHTTPServer(engine *Engine, rotateEvery time.Duration) *HTTPServer {
-	return server.NewHTTPServer(engine, rotateEvery)
+	return server.NewServer(engine, rotateEvery)
 }
 
-// NewServiceServer wraps any Service — engine, cluster, or a custom
-// implementation — with the shared web API (legacy Table-1 endpoints
-// plus the /v1 batch protocol).
+// NewServiceServer wraps an in-process Service — engine, cluster, or a
+// type embedding one — with the shared web API (legacy Table-1
+// endpoints plus the /v1 batch protocol). svc must implement
+// server.Backend, as *Engine and *Cluster do; a remote client does not,
+// and NewServiceServer panics on it.
 func NewServiceServer(svc Service, rotateEvery time.Duration) *HTTPServer {
-	return server.NewServer(svc, rotateEvery)
+	b, ok := svc.(server.Backend)
+	if !ok {
+		panic(fmt.Sprintf("hyrec: NewServiceServer needs an in-process backend (*Engine, *Cluster or a type embedding one), got %T", svc))
+	}
+	return server.NewServer(b, rotateEvery)
 }
 
 // Handler returns a ready-to-serve http.Handler for engine with anonymiser
@@ -197,9 +203,10 @@ func Handler(engine *Engine, rotateEvery time.Duration) http.Handler {
 	return ServiceHandler(engine, rotateEvery)
 }
 
-// ServiceHandler is Handler generalized to any Service.
+// ServiceHandler is Handler generalized to any in-process Service (see
+// NewServiceServer).
 func ServiceHandler(svc Service, rotateEvery time.Duration) http.Handler {
-	s := server.NewServer(svc, rotateEvery)
+	s := NewServiceServer(svc, rotateEvery)
 	s.Start()
 	return s.Handler()
 }

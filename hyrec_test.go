@@ -2,6 +2,7 @@ package hyrec
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,4 +144,18 @@ func TestHandlerFacade(t *testing.T) {
 	if h == nil {
 		t.Fatal("nil handler")
 	}
+}
+
+// serviceOnly implements Service and nothing else, like a remote client.
+type serviceOnly struct{ Service }
+
+func TestNewServiceServerRejectsNonBackend(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "hyrec.serviceOnly") {
+			t.Fatalf("panic %q does not name the offending type", msg)
+		}
+	}()
+	NewServiceServer(serviceOnly{}, 0)
+	t.Fatal("NewServiceServer accepted a Service that is not a Backend")
 }

@@ -65,24 +65,21 @@ func roundTrip(ctx context.Context, svc server.Service, u core.UserID) error {
 // baseline (per-call buffers, per-lookup locks), so locked-vs-snapshot
 // comparisons pit the two complete hot paths against each other.
 func servePayload(svc server.Service, u core.UserID) error {
-	baseline := false
-	if c, ok := svc.(server.Configured); ok {
-		baseline = c.Config().DisableTableSnapshots
+	b, ok := svc.(server.Backend)
+	if !ok {
+		return errors.New("bench: service serves no payloads")
 	}
-	if pa, ok := svc.(server.PayloadAppender); ok && !baseline {
-		bufs := wire.GetPayloadBufs()
-		jsonBody, gzBody, err := pa.AppendJobPayload(context.Background(), u, bufs.JSON, bufs.Gz)
-		if err == nil {
-			bufs.JSON, bufs.Gz = jsonBody, gzBody
-		}
-		wire.PutPayloadBufs(bufs)
+	if b.Config().DisableTableSnapshots {
+		_, _, err := b.AppendJobPayload(context.Background(), u, nil, nil)
 		return err
 	}
-	if p, ok := svc.(server.Payloader); ok {
-		_, _, err := p.JobPayload(u)
-		return err
+	bufs := wire.GetPayloadBufs()
+	jsonBody, gzBody, err := b.AppendJobPayload(context.Background(), u, bufs.JSON, bufs.Gz)
+	if err == nil {
+		bufs.JSON, bufs.Gz = jsonBody, gzBody
 	}
-	return errors.New("bench: service serves no payloads")
+	wire.PutPayloadBufs(bufs)
+	return err
 }
 
 // seedPopulation rates every user into existence (batched ingest) and

@@ -351,13 +351,13 @@ func (c *Cluster) JobPayload(u core.UserID) (jsonBody, gzBody []byte, err error)
 	return c.snap().jobEngine(u).JobPayload(u)
 }
 
-// AppendJobPayload implements server.PayloadAppender on the owning
+// AppendJobPayload implements server.Backend on the owning
 // partition (the pooled zero-allocation serving path).
 func (c *Cluster) AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error) {
 	return c.snap().jobEngine(u).AppendJobPayload(ctx, u, jsonDst, gzDst)
 }
 
-// AppendJobJSON implements server.JSONJobAppender on the owning
+// AppendJobJSON implements server.Backend on the owning
 // partition — the framed plane's gzip-free serving path.
 func (c *Cluster) AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
 	return c.snap().jobEngine(u).AppendJobJSON(ctx, u, jsonDst)
@@ -630,7 +630,7 @@ func (c *Cluster) NextJob(ctx context.Context) (*wire.Job, error) {
 	}
 }
 
-// Ack implements server.LeaseAcker, routing the lease through the lane
+// Ack implements server.JobSource, routing the lease through the lane
 // registry to the scheduler that minted it. A lease from a lane retired
 // by a scale-in reports unknown rather than misrouting to whichever
 // partition happens to share the old modulus.
@@ -659,7 +659,7 @@ func (c *Cluster) LanePartition(lease uint64) int {
 	return -1
 }
 
-// CountWorkerJob implements server.WorkerJobMeter, crediting the bytes
+// CountWorkerJob implements server.Backend, crediting the bytes
 // to the partition whose scheduler minted the job's lease (dropped when
 // the lane has been retired by a scale-in).
 func (c *Cluster) CountWorkerJob(job *wire.Job, jsonBytes, gzBytes int) {
@@ -718,7 +718,7 @@ func (c *Cluster) RotateAnonymizers() {
 	}
 }
 
-// RotateAnonymizer implements server.Rotator (the single-engine spelling)
+// RotateAnonymizer implements server.Backend (the single-engine spelling)
 // by rotating every partition.
 func (c *Cluster) RotateAnonymizer() { c.RotateAnonymizers() }
 
@@ -766,7 +766,7 @@ func (c *Cluster) Stats() map[string]any {
 	return m
 }
 
-// Topology implements server.TopologyProvider: the current shape of the
+// Topology implements server.Backend: the current shape of the
 // cluster as served on GET /v1/topology.
 func (c *Cluster) Topology() wire.Topology {
 	t := c.snap()
@@ -778,23 +778,13 @@ func (c *Cluster) Topology() wire.Topology {
 	}
 }
 
-// Compile-time check: a cluster is a full-capability server.Service, so
-// the shared HTTP mux (and every harness written against the interface)
-// serves it identically to a single engine.
+// Compile-time check: a cluster is a server.Backend, so the shared
+// server (and every harness written against the interface) serves it
+// identically to a single engine; it also mints users and rescales.
 var (
-	_ server.Service          = (*Cluster)(nil)
-	_ server.Payloader        = (*Cluster)(nil)
-	_ server.PayloadAppender  = (*Cluster)(nil)
-	_ server.UserDirectory    = (*Cluster)(nil)
-	_ server.Rotator          = (*Cluster)(nil)
-	_ server.UserResolver     = (*Cluster)(nil)
-	_ server.Configured       = (*Cluster)(nil)
-	_ server.StatsProvider    = (*Cluster)(nil)
-	_ server.JobSource        = (*Cluster)(nil)
-	_ server.LeaseAcker       = (*Cluster)(nil)
-	_ server.WorkerJobMeter   = (*Cluster)(nil)
-	_ server.TopologyProvider = (*Cluster)(nil)
-	_ server.Scaler           = (*Cluster)(nil)
+	_ server.Backend       = (*Cluster)(nil)
+	_ server.UserDirectory = (*Cluster)(nil)
+	_ server.Scaler        = (*Cluster)(nil)
 )
 
 // Len returns the total number of registered users across partitions.

@@ -26,7 +26,7 @@ func rawClient() *http.Client {
 func newTestFrontend(t *testing.T, nParts int) (*Cluster, *httptest.Server) {
 	t.Helper()
 	c := New(testConfig(), nParts)
-	hs := NewHTTPServer(c, 0)
+	hs := server.NewServer(c, 0)
 	ts := httptest.NewServer(hs.Handler())
 	t.Cleanup(func() {
 		ts.Close()

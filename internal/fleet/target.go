@@ -14,13 +14,12 @@ import (
 // ---- in-process target ----
 
 // ServiceTarget drives the fleet straight at an in-process deployment
-// (an *server.Engine or a cluster) through the same capability
-// interfaces the HTTP layer uses, so a simulated session exercises the
-// real dispatch path minus the network.
+// (an *server.Engine or a cluster) through the same JobSource the
+// transports use, so a simulated session exercises the real dispatch
+// path minus the network.
 type ServiceTarget struct {
 	svc server.Service
 	js  server.JobSource
-	la  server.LeaseAcker
 }
 
 // NewServiceTarget wraps svc; it must dispatch jobs (JobSource).
@@ -29,9 +28,7 @@ func NewServiceTarget(svc server.Service) (*ServiceTarget, error) {
 	if !ok {
 		return nil, errors.New("fleet: service does not dispatch jobs to workers")
 	}
-	t := &ServiceTarget{svc: svc, js: js}
-	t.la, _ = svc.(server.LeaseAcker)
-	return t, nil
+	return &ServiceTarget{svc: svc, js: js}, nil
 }
 
 // Open implements Target. In-process sessions share the service; a
@@ -70,10 +67,7 @@ func (s *svcSession) Result(ctx context.Context, res *wire.Result) error {
 }
 
 func (s *svcSession) Ack(ctx context.Context, lease uint64, done bool) error {
-	if s.la == nil {
-		return errors.New("fleet: service does not manage leases")
-	}
-	return s.la.Ack(ctx, lease, done)
+	return s.js.Ack(ctx, lease, done)
 }
 
 func (s *svcSession) Close() error { return nil }

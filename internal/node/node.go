@@ -201,7 +201,7 @@ func (n *Node) Cluster() *cluster.Cluster { return n.cl }
 // Map returns the node map currently in force.
 func (n *Node) Map() *wire.NodeMap { return n.nm.Load() }
 
-// NodeEpoch implements server.NodeEpocher: /healthz advertises the
+// NodeEpoch implements server.NodePlane: /healthz advertises the
 // map epoch in force, turning heartbeats into an epoch exchange.
 func (n *Node) NodeEpoch() uint64 { return n.nm.Load().Epoch }
 
@@ -261,7 +261,7 @@ func (n *Node) notPrimaryErr(p int) error {
 
 // ---- node map application ----
 
-// ApplyNodeMap implements server.NodeMapSink: adopt a pushed map if its
+// ApplyNodeMap implements server.NodePlane: adopt a pushed map if its
 // epoch is newer than the one in force.
 func (n *Node) ApplyNodeMap(_ context.Context, m *wire.NodeMap) error {
 	if m.Partitions != n.cfg.Partitions {
@@ -423,7 +423,7 @@ func (n *Node) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
 	return n.peer(primary.Addr).Job(ctx, u)
 }
 
-// AppendJobPayload implements server.PayloadAppender. The local path is
+// AppendJobPayload implements server.Backend. The local path is
 // the embedded cluster's zero-allocation append; the proxy path fetches
 // the owner's exact payload bytes (client.JobRaw), so a proxied payload
 // is byte-identical to one served by the owner directly.
@@ -447,7 +447,7 @@ func (n *Node) AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzD
 	return jsonBody, gzBody, nil
 }
 
-// AppendJobJSON implements server.JSONJobAppender: the framed plane's
+// AppendJobJSON implements server.Backend: the framed plane's
 // gzip-free twin of AppendJobPayload. The proxy path already carries
 // raw JSON bytes (client.JobRaw), so neither leg compresses anything.
 func (n *Node) AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
@@ -508,7 +508,7 @@ func (n *Node) ApplyResult(ctx context.Context, res *wire.Result) ([]core.ItemID
 	return n.peer(primary.Addr).ApplyResult(ctx, res)
 }
 
-// Ack implements server.LeaseAcker under the same role gate as
+// Ack implements server.JobSource under the same role gate as
 // ApplyResult: primaries ack locally, replicas reject typed, everyone
 // else proxies.
 func (n *Node) Ack(ctx context.Context, lease uint64, done bool) error {
@@ -559,9 +559,9 @@ func (n *Node) Neighbors(ctx context.Context, u core.UserID) ([]core.UserID, err
 	return n.peer(primary.Addr).Neighbors(ctx, u)
 }
 
-// ---- capability interfaces ----
+// ---- Backend and NodePlane ----
 
-// Replicate implements server.Replicator: ingest a primary's batch.
+// Replicate implements server.NodePlane: ingest a primary's batch.
 // Batches for partitions this node neither mirrors nor owns are
 // rejected typed. Two ingest disciplines make delivery idempotent under
 // duplication and reordering:
@@ -639,26 +639,26 @@ func (n *Node) gateFresh(b *wire.ReplBatch, states []server.UserState) []server.
 	return fresh
 }
 
-// RotateAnonymizer implements server.Rotator on every local engine.
+// RotateAnonymizer implements server.Backend on every local engine.
 // Deployments that rotate must do so on every node with the same period,
 // or cross-node pseudonym resolution drifts (a drifted result surfaces
 // as stale_epoch and is re-issued — safe, but wasteful).
 func (n *Node) RotateAnonymizer() { n.cl.RotateAnonymizers() }
 
-// ResolveUser implements server.UserResolver.
+// ResolveUser implements server.Backend.
 func (n *Node) ResolveUser(alias core.UserID, epoch uint64) (core.UserID, bool) {
 	return n.cl.ResolveUser(alias, epoch)
 }
 
-// Config implements server.Configured.
+// Config implements server.Backend.
 func (n *Node) Config() server.Config { return n.cl.Config() }
 
-// CountWorkerJob implements server.WorkerJobMeter.
+// CountWorkerJob implements server.Backend.
 func (n *Node) CountWorkerJob(job *wire.Job, jsonBytes, gzBytes int) {
 	n.cl.CountWorkerJob(job, jsonBytes, gzBytes)
 }
 
-// Topology implements server.TopologyProvider: the embedded cluster's
+// Topology implements server.Backend: the embedded cluster's
 // ring shape plus the node map in force.
 func (n *Node) Topology() wire.Topology {
 	t := n.cl.Topology()
@@ -670,7 +670,7 @@ func (n *Node) Topology() wire.Topology {
 	return t
 }
 
-// LocateUser implements server.UserLocator.
+// LocateUser implements server.NodePlane.
 func (n *Node) LocateUser(u core.UserID) (wire.NodeRef, bool) {
 	p := n.cl.Partition(u)
 	pr := n.nm.Load().Primary(p)
@@ -680,7 +680,7 @@ func (n *Node) LocateUser(u core.UserID) (wire.NodeRef, bool) {
 	return wire.NodeRef{ID: pr.ID, Addr: pr.Addr, Partition: p}, true
 }
 
-// Stats implements server.StatsProvider: the embedded cluster's counters
+// Stats implements server.Backend: the embedded cluster's counters
 // with the scheduler roll-up restricted to locally-primary partitions
 // (a standby mirror's parked backlog is the primary's convergence debt,
 // not this node's), plus the replication gauges.
@@ -789,20 +789,8 @@ func replUserFromState(st server.UserState) wire.ReplUser {
 	return ru
 }
 
-// Compile-time check: a node is a full-capability service.
+// Compile-time check: a node is a server.Backend with the node plane.
 var (
-	_ server.Service          = (*Node)(nil)
-	_ server.PayloadAppender  = (*Node)(nil)
-	_ server.JobSource        = (*Node)(nil)
-	_ server.LeaseAcker       = (*Node)(nil)
-	_ server.Rotator          = (*Node)(nil)
-	_ server.UserResolver     = (*Node)(nil)
-	_ server.Configured       = (*Node)(nil)
-	_ server.StatsProvider    = (*Node)(nil)
-	_ server.WorkerJobMeter   = (*Node)(nil)
-	_ server.TopologyProvider = (*Node)(nil)
-	_ server.Replicator       = (*Node)(nil)
-	_ server.NodeMapSink      = (*Node)(nil)
-	_ server.UserLocator      = (*Node)(nil)
-	_ server.NodeEpocher      = (*Node)(nil)
+	_ server.Backend   = (*Node)(nil)
+	_ server.NodePlane = (*Node)(nil)
 )

@@ -28,14 +28,10 @@ import (
 // retries once.
 var ErrOverloaded = errors.New("server: overloaded, admission queue full")
 
-// newGate builds the admission gate for a service's configuration. A
-// service without Configured (or with all bounds zero) gets a gate
-// that never sheds but still counts inflight per class.
-func newGate(svc Service) *admit.Gate {
-	var cfg Config
-	if c, ok := svc.(Configured); ok {
-		cfg = c.Config()
-	}
+// newGate builds the admission gate for a backend's configuration. With
+// all bounds zero the gate never sheds but still counts inflight per
+// class.
+func newGate(cfg Config) *admit.Gate {
 	return admit.New(admit.Config{
 		MaxRating: cfg.MaxInflightRating,
 		MaxWorker: cfg.MaxInflightWorker,

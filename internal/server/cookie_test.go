@@ -20,7 +20,7 @@ func TestCookieIdentificationFlow(t *testing.T) {
 	for u := core.UserID(1); u <= 5; u++ {
 		e.Rate(tctx, u, 1, true)
 	}
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	h := s.Handler()
 
 	// 1. Anonymous first visit mints a cookie.
@@ -76,7 +76,7 @@ func TestCookieIdentificationFlow(t *testing.T) {
 
 func TestCookieRepeatVisitDoesNotRemint(t *testing.T) {
 	e := NewEngine(DefaultConfig())
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	h := s.Handler()
 
 	rec := httptest.NewRecorder()
@@ -109,7 +109,7 @@ func TestExplicitUIDBeatsCookie(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableAnonymizer = true
 	e := NewEngine(cfg)
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	h := s.Handler()
 
 	req := httptest.NewRequest(http.MethodPost, "/rate?uid=77&item=9", nil)
@@ -129,7 +129,7 @@ func TestExplicitUIDBeatsCookie(t *testing.T) {
 
 func TestMalformedCookieRejected(t *testing.T) {
 	e := NewEngine(DefaultConfig())
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	h := s.Handler()
 
 	req := httptest.NewRequest(http.MethodPost, "/rate?item=1", nil)
@@ -143,7 +143,7 @@ func TestMalformedCookieRejected(t *testing.T) {
 
 func TestRateWithoutIdentityRejected(t *testing.T) {
 	e := NewEngine(DefaultConfig())
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	h := s.Handler()
 
 	rec := httptest.NewRecorder()
@@ -155,7 +155,7 @@ func TestRateWithoutIdentityRejected(t *testing.T) {
 
 func TestMintUserUnique(t *testing.T) {
 	e := NewEngine(DefaultConfig())
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	seen := make(map[core.UserID]bool)
 	for i := 0; i < 1000; i++ {
 		id, err := s.mintUser()

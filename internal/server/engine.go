@@ -255,7 +255,7 @@ func NewEngine(cfg Config) *Engine {
 // partition the lease-ID space; tests and stats read its counters.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.sched }
 
-// Topology implements TopologyProvider: a single engine is a fixed
+// Topology implements Backend: a single engine is a fixed
 // 1-partition topology that never migrates.
 func (e *Engine) Topology() wire.Topology { return wire.Topology{Partitions: 1} }
 
@@ -634,7 +634,7 @@ func (e *Engine) Ack(ctx context.Context, lease uint64, done bool) error {
 	return nil
 }
 
-// CountWorkerJob implements WorkerJobMeter: worker-dispatched jobs are
+// CountWorkerJob implements Backend: worker-dispatched jobs are
 // serialized by the transport layer, which reports the byte counts here
 // so the bandwidth meters cover both dispatch paths.
 func (e *Engine) CountWorkerJob(_ *wire.Job, jsonBytes, gzBytes int) {

@@ -264,12 +264,11 @@ func (s *HTTPServer) dispatchFrame(ctx context.Context, cn *frame.Conn, f frame.
 			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad replicate batch: "+err.Error())
 			return
 		}
-		rep, ok := s.svc.(Replicator)
-		if !ok {
+		if s.node == nil {
 			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "service does not accept replication")
 			return
 		}
-		ack, err := rep.Replicate(ctx, batch)
+		ack, err := s.node.Replicate(ctx, batch)
 		if err != nil {
 			s.sendFrameError(cn, f.Stream, err)
 			return
@@ -299,83 +298,33 @@ func (s *HTTPServer) spawnFrame(cn *frame.Conn, stream uint64, fn func(stream ui
 // TJob whose payload is the exact JSON bytes GET /v1/job?worker=1 would
 // serve — empty when the queue stayed idle.
 func (s *HTTPServer) frameJobPull(ctx context.Context, cn *frame.Conn, stream uint64, wait time.Duration) {
-	js, ok := s.svc.(JobSource)
-	if !ok {
-		s.sendFrameErrorCode(cn, stream, wire.CodeBadRequest, "service does not dispatch jobs to workers")
-		return
-	}
-	if wait < 0 {
-		wait = 0
-	}
-	if wait > maxWorkerWait {
-		wait = maxWorkerWait
-	}
-	pollCtx, cancel := context.WithTimeout(ctx, wait)
+	pollCtx, cancel := s.pollWindow(ctx, wait)
 	defer cancel()
-	var job *wire.Job
-	for {
-		var err error
-		job, err = js.NextJob(pollCtx)
-		if err != nil {
-			s.sendFrameError(cn, stream, err)
-			return
-		}
-		if job != nil {
-			break
-		}
-		// Same early-nil re-poll discipline as the HTTP long-poll: a nil
-		// before the window expires is not "idle for the whole window".
-		select {
-		case <-pollCtx.Done():
-			cn.WriteFrame(frame.TJob, stream, nil)
-			return
-		case <-time.After(workerRepollEvery):
-		}
+	leased, err := s.pullJob(pollCtx, false, func(body []byte) error {
+		cn.WriteFrame(frame.TJob, stream, body)
+		return nil
+	})
+	switch {
+	case err != nil:
+		s.sendFrameError(cn, stream, err)
+	case !leased:
+		cn.WriteFrame(frame.TJob, stream, nil)
 	}
-	bufs := wire.GetPayloadBufs()
-	defer wire.PutPayloadBufs(bufs)
-	raw := wire.AppendJob(bufs.JSON, job, nil)
-	bufs.JSON = raw
-	if meter, ok := s.svc.(WorkerJobMeter); ok {
-		meter.CountWorkerJob(job, len(raw), 0)
-	}
-	cn.WriteFrame(frame.TJob, stream, raw)
 }
 
 // frameJobGet serves one user's job payload — the framed twin of
 // GET /v1/job?uid=U, carrying the identical JSON bytes.
 func (s *HTTPServer) frameJobGet(ctx context.Context, cn *frame.Conn, stream uint64, u core.UserID) {
 	s.seen.Touch(u)
-	if ja, ok := s.svc.(JSONJobAppender); ok {
-		bufs := wire.GetPayloadBufs()
-		defer wire.PutPayloadBufs(bufs)
-		jsonBody, err := ja.AppendJobJSON(ctx, u, bufs.JSON)
-		if err != nil {
-			s.sendFrameError(cn, stream, err)
-			return
-		}
-		bufs.JSON = jsonBody
-		cn.WriteFrame(frame.TJob, stream, jsonBody)
-		return
-	}
-	if pa, ok := s.svc.(PayloadAppender); ok {
-		bufs := wire.GetPayloadBufs()
-		defer wire.PutPayloadBufs(bufs)
-		jsonBody, gzBody, err := pa.AppendJobPayload(ctx, u, bufs.JSON, bufs.Gz)
-		if err != nil {
-			s.sendFrameError(cn, stream, err)
-			return
-		}
-		bufs.JSON, bufs.Gz = jsonBody, gzBody
-		cn.WriteFrame(frame.TJob, stream, jsonBody)
-		return
-	}
-	raw, err := s.jobJSON(ctx, u)
+	bufs := wire.GetPayloadBufs()
+	defer wire.PutPayloadBufs(bufs)
+	jsonBody, err := s.svc.AppendJobJSON(ctx, u, bufs.JSON)
 	if err != nil {
 		s.sendFrameError(cn, stream, err)
 		return
 	}
-	cn.WriteFrame(frame.TJob, stream, raw)
+	bufs.JSON = jsonBody
+	cn.WriteFrame(frame.TJob, stream, jsonBody)
 }
 
 // frameAckBatch applies a batched ack. A single-entry batch keeps the
@@ -384,14 +333,9 @@ func (s *HTTPServer) frameJobGet(ctx context.Context, cn *frame.Conn, stream uin
 // there is expected turbulence (the scheduler re-issued it), not an
 // error.
 func (s *HTTPServer) frameAckBatch(ctx context.Context, cn *frame.Conn, stream uint64, acks []frame.Ack) {
-	la, ok := s.svc.(LeaseAcker)
-	if !ok {
-		s.sendFrameErrorCode(cn, stream, wire.CodeBadRequest, "service does not manage leases")
-		return
-	}
 	applied := 0
 	for _, a := range acks {
-		err := la.Ack(ctx, a.Lease, a.Done)
+		err := s.svc.Ack(ctx, a.Lease, a.Done)
 		if err == nil {
 			applied++
 			continue

@@ -28,9 +28,10 @@ import (
 // identification protocol.
 const UIDCookieName = "hyrec_uid"
 
-// HTTPServer exposes any Service over HyRec's web API. One mux serves
-// both a single Engine and a partitioned Cluster — the Service interface
-// routes internally, so there is no per-front-end handler duplication.
+// HTTPServer exposes a Backend over HyRec's web API, the WebSocket worker
+// push and the framed transport. One mux serves a single Engine, a
+// partitioned Cluster and a multi-node Node alike — the Backend routes
+// internally, so there is no per-front-end handler duplication.
 //
 // Legacy endpoints (Table 1 of the paper):
 //
@@ -54,7 +55,13 @@ const UIDCookieName = "hyrec_uid"
 // gzip, exactly as the paper's Jetty deployment serves it; /v1/job
 // honours Accept-Encoding instead.
 type HTTPServer struct {
-	svc Service
+	svc Backend
+
+	// The optional capabilities, resolved once by NewServer (nil when
+	// the backend lacks them).
+	dir    UserDirectory
+	scaler Scaler
+	node   NodePlane
 
 	seen *presence
 
@@ -96,31 +103,25 @@ type HTTPServer struct {
 	nodeSecret string
 }
 
-// NewServer wraps any Service with the web API. If rotateEvery > 0 and
-// the service supports rotation, a background goroutine rotates the
-// anonymous mapping on that period until Close is called.
-func NewServer(svc Service, rotateEvery time.Duration) *HTTPServer {
-	seed := int64(1)
-	if c, ok := svc.(Configured); ok {
-		seed = c.Config().Seed
-	}
+// NewServer wraps b with the web API. If rotateEvery > 0, a background
+// goroutine rotates the anonymous mapping on that period once Start is
+// called, until Close.
+func NewServer(b Backend, rotateEvery time.Duration) *HTTPServer {
 	dispatchCtx, stopDispatch := context.WithCancel(context.Background())
-	return &HTTPServer{
-		svc:          svc,
+	s := &HTTPServer{
+		svc:          b,
 		seen:         newPresence(),
-		mint:         rand.New(rand.NewSource(seed + 7919)),
+		mint:         rand.New(rand.NewSource(b.Config().Seed + 7919)),
 		rotateEvery:  rotateEvery,
 		stopRotate:   make(chan struct{}),
 		dispatchCtx:  dispatchCtx,
 		stopDispatch: stopDispatch,
-		gate:         newGate(svc),
+		gate:         newGate(b.Config()),
 	}
-}
-
-// NewHTTPServer wraps an Engine — the historical single-machine
-// constructor, now a thin alias for NewServer.
-func NewHTTPServer(engine *Engine, rotateEvery time.Duration) *HTTPServer {
-	return NewServer(engine, rotateEvery)
+	s.dir, _ = b.(UserDirectory)
+	s.scaler, _ = b.(Scaler)
+	s.node, _ = b.(NodePlane)
+	return s
 }
 
 // Service returns the service this server fronts.
@@ -146,12 +147,10 @@ func (s *HTTPServer) nodePlaneAuthorized(w http.ResponseWriter, r *http.Request)
 	return false
 }
 
-// Start launches the anonymiser-rotation loop (no-op when rotateEvery ≤ 0
-// or the service cannot rotate).
+// Start launches the anonymiser-rotation loop (no-op when rotateEvery ≤ 0).
 func (s *HTTPServer) Start() {
 	s.startOnce.Do(func() {
-		rot, ok := s.svc.(Rotator)
-		if s.rotateEvery <= 0 || !ok {
+		if s.rotateEvery <= 0 {
 			return
 		}
 		s.rotateWG.Add(1)
@@ -162,7 +161,7 @@ func (s *HTTPServer) Start() {
 			for {
 				select {
 				case <-ticker.C:
-					rot.RotateAnonymizer()
+					s.svc.RotateAnonymizer()
 				case <-s.stopRotate:
 					return
 				}
@@ -198,8 +197,8 @@ func (s *HTTPServer) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// Liveness doubles as epoch exchange: peers probing this node
 		// learn which node-map epoch it runs, and repair the difference.
-		if ne, ok := s.svc.(NodeEpocher); ok {
-			w.Header().Set(NodeEpochHeader, strconv.FormatUint(ne.NodeEpoch(), 10))
+		if s.node != nil {
+			w.Header().Set(NodeEpochHeader, strconv.FormatUint(s.node.NodeEpoch(), 10))
 		}
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -234,8 +233,7 @@ func (s *HTTPServer) handleV1Replicate(w http.ResponseWriter, r *http.Request) {
 	if !s.nodePlaneAuthorized(w, r) {
 		return
 	}
-	rep, ok := s.svc.(Replicator)
-	if !ok {
+	if s.node == nil {
 		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service does not accept replication")
 		return
 	}
@@ -260,7 +258,7 @@ func (s *HTTPServer) handleV1Replicate(w http.ResponseWriter, r *http.Request) {
 		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad replicate body: "+err.Error())
 		return
 	}
-	ack, err := rep.Replicate(r.Context(), batch)
+	ack, err := s.node.Replicate(r.Context(), batch)
 	if err != nil {
 		writeV1ServiceError(w, err)
 		return
@@ -278,8 +276,7 @@ func (s *HTTPServer) handleV1Nodes(w http.ResponseWriter, r *http.Request) {
 	if !s.nodePlaneAuthorized(w, r) {
 		return
 	}
-	sink, ok := s.svc.(NodeMapSink)
-	if !ok {
+	if s.node == nil {
 		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service does not accept node maps")
 		return
 	}
@@ -294,7 +291,7 @@ func (s *HTTPServer) handleV1Nodes(w http.ResponseWriter, r *http.Request) {
 		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad node map body: "+err.Error())
 		return
 	}
-	if err := sink.ApplyNodeMap(r.Context(), nm); err != nil {
+	if err := s.node.ApplyNodeMap(r.Context(), nm); err != nil {
 		writeV1ServiceError(w, err)
 		return
 	}
@@ -335,14 +332,13 @@ func (s *HTTPServer) handleOnline(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := s.svc.Rate(r.Context(), uid, item, liked); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			writeLegacyError(w, err)
 			return
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := s.writeJob(w, r.Context(), uid, true); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		writeLegacyError(w, err)
 	}
 }
 
@@ -397,8 +393,7 @@ func (s *HTTPServer) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if _, err := s.svc.ApplyResult(r.Context(), &res); err != nil {
-		status, _ := statusForErr(err)
-		http.Error(w, err.Error(), status)
+		writeLegacyError(w, err)
 		return
 	}
 	s.touchResult(&res)
@@ -423,7 +418,7 @@ func (s *HTTPServer) handleRate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seen.Touch(uid)
 	if err := s.svc.Rate(r.Context(), uid, item, liked); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeLegacyError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -442,8 +437,7 @@ func (s *HTTPServer) handleRecommendations(w http.ResponseWriter, r *http.Reques
 	}
 	recs, err := s.svc.Recommendations(r.Context(), uid, 0)
 	if err != nil {
-		status, _ := statusForErr(err)
-		http.Error(w, err.Error(), status)
+		writeLegacyError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -452,11 +446,11 @@ func (s *HTTPServer) handleRecommendations(w http.ResponseWriter, r *http.Reques
 	}
 }
 
-func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) {
-	stats := map[string]any{}
-	if sp, ok := s.svc.(StatsProvider); ok {
-		stats = sp.Stats()
-	}
+// stats assembles the counters /stats and /metrics both serve: the
+// backend's own, presence, the worker-socket and framed-transport
+// gauges, and the admission gate's.
+func (s *HTTPServer) stats() map[string]any {
+	stats := s.svc.Stats()
 	stats["online_users"] = int64(s.seen.Online(presenceWindow))
 	stats["ws_workers"] = s.wsWorkers.Load()
 	stats["ws_jobs_pushed_total"] = s.wsJobsPushed.Load()
@@ -464,8 +458,12 @@ func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 	stats["frame_streams_active"] = s.frameStreams.Load()
 	stats["frame_bytes_total"] = s.frameBytes.Load()
 	s.gate.AddStats(stats)
+	return stats
+}
+
+func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(stats); err != nil {
+	if err := json.NewEncoder(w).Encode(s.stats()); err != nil {
 		return
 	}
 }
@@ -474,25 +472,14 @@ func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 // Prometheus text exposition format, plus the elastic-topology gauges
 // hyrec_topology_partitions and hyrec_migration_users_moved_total. The
 // alias lets a scrape target consume the deployment without a JSON
-// exporter sidecar.
+// exporter sidecar. Keys ending in _total are typed counter, every
+// other key gauge.
 func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	stats := map[string]any{}
-	if sp, ok := s.svc.(StatsProvider); ok {
-		stats = sp.Stats()
-	}
-	stats["online_users"] = int64(s.seen.Online(presenceWindow))
-	stats["ws_workers"] = s.wsWorkers.Load()
-	stats["ws_jobs_pushed_total"] = s.wsJobsPushed.Load()
-	stats["frame_conns"] = s.frameConns.Load()
-	stats["frame_streams_active"] = s.frameStreams.Load()
-	stats["frame_bytes_total"] = s.frameBytes.Load()
-	s.gate.AddStats(stats)
-	if tp, ok := s.svc.(TopologyProvider); ok {
-		topo := tp.Topology()
-		stats["topology_partitions"] = int64(topo.Partitions)
-		stats["migration_users_moved_total"] = topo.UsersMovedTotal
-		stats["migrating"] = topo.Migrating
-	}
+	stats := s.stats()
+	topo := s.svc.Topology()
+	stats["topology_partitions"] = int64(topo.Partitions)
+	stats["migration_users_moved_total"] = topo.UsersMovedTotal
+	stats["migrating"] = topo.Migrating
 	keys := make([]string, 0, len(stats))
 	for k := range stats {
 		keys = append(keys, k)
@@ -501,21 +488,25 @@ func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	for _, k := range keys {
 		name := "hyrec_" + k
+		typ := "gauge"
+		if strings.HasSuffix(k, "_total") {
+			typ = "counter"
+		}
 		switch v := stats[k].(type) {
 		case int:
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, v)
+			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, typ, name, v)
 		case int64:
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, v)
+			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, typ, name, v)
 		case float64:
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, v)
+			fmt.Fprintf(w, "# TYPE %s %s\n%s %g\n", name, typ, name, v)
 		case bool:
 			b := 0
 			if v {
 				b = 1
 			}
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, b)
+			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, typ, name, b)
 		case []int64:
-			fmt.Fprintf(w, "# TYPE %s gauge\n", name)
+			fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
 			for i, n := range v {
 				fmt.Fprintf(w, "%s{partition=\"%d\"} %d\n", name, i, n)
 			}
@@ -528,19 +519,13 @@ func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // POST triggers a live resharding to the requested partition count and
 // returns the resulting topology once the migration has completed.
 func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) {
-	tp, ok := s.svc.(TopologyProvider)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service reports no topology")
-		return
-	}
 	switch r.Method {
 	case http.MethodGet:
-		topo := tp.Topology()
+		topo := s.svc.Topology()
 		// ?uid=U additionally resolves the node serving that user's
 		// partition as primary, when the service knows the node map.
 		if raw := r.URL.Query().Get("uid"); raw != "" {
-			loc, ok := s.svc.(UserLocator)
-			if !ok {
+			if s.node == nil {
 				writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service cannot locate users by node")
 				return
 			}
@@ -549,14 +534,13 @@ func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) {
 				writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad uid %q", raw))
 				return
 			}
-			if ref, ok := loc.LocateUser(core.UserID(uid64)); ok {
+			if ref, ok := s.node.LocateUser(core.UserID(uid64)); ok {
 				topo.Owner = &ref
 			}
 		}
 		writeJSON(w, http.StatusOK, topo)
 	case http.MethodPost:
-		sc, ok := s.svc.(Scaler)
-		if !ok {
+		if s.scaler == nil {
 			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service is not elastic (single engine?)")
 			return
 		}
@@ -575,11 +559,11 @@ func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("partitions must be >= 1, got %d", req.Partitions))
 			return
 		}
-		if err := sc.Scale(r.Context(), req.Partitions); err != nil {
+		if err := s.scaler.Scale(r.Context(), req.Partitions); err != nil {
 			writeV1ServiceError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, tp.Topology())
+		writeJSON(w, http.StatusOK, s.svc.Topology())
 	default:
 		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET or POST required")
 	}
@@ -636,9 +620,69 @@ func (s *HTTPServer) handleV1Rate(w http.ResponseWriter, r *http.Request) {
 // never outlives the HTTP server's write timeout.
 const maxWorkerWait = 25 * time.Second
 
-// workerRepollEvery paces the long-poll's re-poll loop after NextJob
-// answered nil before the window expired (see handleV1WorkerJob).
+// workerRepollEvery paces the job-pull re-poll loop after NextJob
+// answered nil before the window expired (see pullJob).
 const workerRepollEvery = 20 * time.Millisecond
+
+// pollWindow bounds one worker long-poll: wait clamped to
+// [0, maxWorkerWait], released early when Close stops dispatch.
+func (s *HTTPServer) pollWindow(parent context.Context, wait time.Duration) (context.Context, context.CancelFunc) {
+	wait = min(max(wait, 0), maxWorkerWait)
+	ctx, cancel := context.WithTimeout(parent, wait)
+	stop := context.AfterFunc(s.dispatchCtx, cancel)
+	return ctx, func() { stop(); cancel() }
+}
+
+// pullJob is the one job-pull core behind GET /v1/job?worker=1, framed
+// TJobPull and WebSocket push. It waits on the backend's staleness
+// queue until a job is leased or ctx ends, serializes the job into
+// pooled buffers (gzip-compressed when gzipOK) and hands the body to
+// send, metering the job when send succeeds. leased is false when ctx
+// ended first; err is a dispatch or compression error, never send's.
+func (s *HTTPServer) pullJob(ctx context.Context, gzipOK bool, send func(body []byte) error) (leased bool, err error) {
+	var job *wire.Job
+	for {
+		job, err = s.svc.NextJob(ctx)
+		if err != nil {
+			return false, err
+		}
+		if job != nil {
+			break
+		}
+		// NextJob can answer nil before the window expires: a service
+		// with no scheduler answers immediately, and a scheduler woken
+		// mid-Evict during a scale-in (or racing its own shutdown) sees
+		// an empty queue for an instant even though the evicted users are
+		// re-marked stale moments later. Treating that first nil as "idle
+		// for the whole window" would end the poll early and miss work
+		// arriving in the remaining window, so re-poll — paced, to keep
+		// scheduler-free services from spinning — until ctx ends.
+		select {
+		case <-ctx.Done():
+			return false, nil
+		case <-time.After(workerRepollEvery):
+		}
+	}
+	// Worker jobs serialize in the transport layer; borrow the same
+	// pooled buffers the user-driven payload path uses.
+	bufs := wire.GetPayloadBufs()
+	defer wire.PutPayloadBufs(bufs)
+	raw := wire.AppendJob(bufs.JSON, job, nil)
+	bufs.JSON = raw
+	body, gzBytes := raw, 0
+	if gzipOK {
+		gz, err := wire.AppendGzip(bufs.Gz, raw, s.svc.Config().GzipLevel)
+		if err != nil {
+			return true, err
+		}
+		bufs.Gz = gz
+		body, gzBytes = gz, len(gz)
+	}
+	if send(body) == nil {
+		s.svc.CountWorkerJob(job, len(raw), gzBytes)
+	}
+	return true, nil
+}
 
 func (s *HTTPServer) handleV1Job(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -690,12 +734,6 @@ func isWorker(r *http.Request) bool {
 // leased job from the staleness queue, long-polling up to `wait`
 // (capped) and answering 204 No Content when the queue stays empty.
 func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
-	js, ok := s.svc.(JobSource)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"service does not dispatch jobs to workers")
-		return
-	}
 	// A parked long-poll holds its worker slot for the whole park: parked
 	// polls are exactly the held capacity the worker bound meters.
 	release, admitted := s.admitHTTP(w, r, admit.Worker)
@@ -712,69 +750,24 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = d
 	}
-	if wait > maxWorkerWait {
-		wait = maxWorkerWait
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	ctx, cancel := s.pollWindow(r.Context(), wait)
 	defer cancel()
-	// Server shutdown (Close) releases the poll immediately.
-	stop := context.AfterFunc(s.dispatchCtx, cancel)
-	defer stop()
-	var job *wire.Job
-	for {
-		var err error
-		job, err = js.NextJob(ctx)
-		if err != nil {
-			writeV1ServiceError(w, err)
-			return
+	gzipOK := acceptsGzip(r)
+	leased, err := s.pullJob(ctx, gzipOK, func(body []byte) error {
+		w.Header().Set("Content-Type", "application/json")
+		if gzipOK {
+			w.Header().Set("Content-Encoding", "gzip")
 		}
-		if job != nil {
-			break
-		}
-		// NextJob can answer nil before the window expires: a service
-		// with no scheduler answers immediately, and a scheduler woken
-		// mid-Evict during a scale-in (or racing its own shutdown) sees
-		// an empty queue for an instant even though the evicted users are
-		// re-marked stale moments later. Treating that first nil as "idle
-		// for the whole window" would turn the poll into an early idle
-		// 204 that misses work arriving in the remaining window, so
-		// re-poll — paced, to keep scheduler-free services from spinning —
-		// until the window genuinely expires.
-		select {
-		case <-ctx.Done():
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-time.After(workerRepollEvery):
-		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+		return nil
+	})
+	switch {
+	case err != nil:
+		writeV1ServiceError(w, err)
+	case !leased:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	// Worker jobs serialize in the transport layer; borrow the same
-	// pooled buffers the user-driven payload path uses.
-	bufs := wire.GetPayloadBufs()
-	defer wire.PutPayloadBufs(bufs)
-	raw := wire.AppendJob(bufs.JSON, job, nil)
-	bufs.JSON = raw
-	meter, metered := s.svc.(WorkerJobMeter)
-	w.Header().Set("Content-Type", "application/json")
-	if acceptsGzip(r) {
-		gz, err := wire.AppendGzip(bufs.Gz, raw, s.gzipLevel())
-		if err != nil {
-			writeV1Error(w, http.StatusInternalServerError, wire.CodeInternal, err.Error())
-			return
-		}
-		bufs.Gz = gz
-		if metered {
-			meter.CountWorkerJob(job, len(raw), len(gz))
-		}
-		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Set("Content-Length", strconv.Itoa(len(gz)))
-		w.Write(gz)
-		return
-	}
-	if metered {
-		meter.CountWorkerJob(job, len(raw), 0)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
-	w.Write(raw)
 }
 
 // handleV1Ack serves POST /v1/ack: complete (done=true) or abandon
@@ -782,11 +775,6 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 func (s *HTTPServer) handleV1Ack(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	la, ok := s.svc.(LeaseAcker)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service does not manage leases")
 		return
 	}
 	release, admitted := s.admitHTTP(w, r, admit.Worker)
@@ -805,7 +793,7 @@ func (s *HTTPServer) handleV1Ack(w http.ResponseWriter, r *http.Request) {
 		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad ack body: "+err.Error())
 		return
 	}
-	if err := la.Ack(r.Context(), req.Lease, req.Done); err != nil {
+	if err := s.svc.Ack(r.Context(), req.Lease, req.Done); err != nil {
 		writeV1ServiceError(w, err)
 		return
 	}
@@ -917,78 +905,33 @@ func (s *HTTPServer) handleV1Neighbors(w http.ResponseWriter, r *http.Request) {
 // ---- shared plumbing ----
 
 // writeJob serves u's serialized job body (headers beyond Content-Type
-// are set here): the pooled append path when the service supports it, so
-// a steady-state request borrows every buffer it touches; otherwise the
-// legacy Payloader or generic encode path. Nothing has been written to w
-// when an error is returned.
+// are set here) from pooled buffers, so a steady-state request borrows
+// every buffer it touches. Nothing has been written to w when an error
+// is returned.
 func (s *HTTPServer) writeJob(w http.ResponseWriter, ctx context.Context, u core.UserID, gzipOK bool) error {
-	if pa, ok := s.svc.(PayloadAppender); ok {
-		bufs := wire.GetPayloadBufs()
-		defer wire.PutPayloadBufs(bufs)
-		jsonBody, gzBody, err := pa.AppendJobPayload(ctx, u, bufs.JSON, bufs.Gz)
-		if err != nil {
-			return err
-		}
-		// Keep the grown capacity pooled for the next request.
-		bufs.JSON, bufs.Gz = jsonBody, gzBody
-		body := jsonBody
-		if gzipOK {
-			w.Header().Set("Content-Encoding", "gzip")
-			body = gzBody
-		}
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.Write(body)
-		return nil
-	}
-	var raw, gz []byte
-	var err error
-	if p, ok := s.svc.(Payloader); ok {
-		raw, gz, err = p.JobPayload(u)
-	} else {
-		if raw, err = s.jobJSON(ctx, u); err == nil && gzipOK {
-			gz, err = wire.Compress(raw, s.gzipLevel())
-		}
-	}
+	bufs := wire.GetPayloadBufs()
+	defer wire.PutPayloadBufs(bufs)
+	jsonBody, gzBody, err := s.svc.AppendJobPayload(ctx, u, bufs.JSON, bufs.Gz)
 	if err != nil {
 		return err
 	}
-	body := raw
+	// Keep the grown capacity pooled for the next request.
+	bufs.JSON, bufs.Gz = jsonBody, gzBody
+	body := jsonBody
 	if gzipOK {
 		w.Header().Set("Content-Encoding", "gzip")
-		body = gz
+		body = gzBody
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 	return nil
 }
 
-// jobJSON returns the raw JSON job payload for u.
-func (s *HTTPServer) jobJSON(ctx context.Context, u core.UserID) ([]byte, error) {
-	if p, ok := s.svc.(Payloader); ok {
-		raw, _, err := p.JobPayload(u)
-		return raw, err
-	}
-	job, err := s.svc.Job(ctx, u)
-	if err != nil {
-		return nil, err
-	}
-	return wire.EncodeJob(job)
-}
-
-func (s *HTTPServer) gzipLevel() wire.GzipLevel {
-	if c, ok := s.svc.(Configured); ok {
-		return c.Config().GzipLevel
-	}
-	return wire.GzipBestSpeed
-}
-
 // touchResult records presence for the real user behind an applied
-// result, when the service can resolve pseudonyms.
+// result.
 func (s *HTTPServer) touchResult(res *wire.Result) {
-	if ur, ok := s.svc.(UserResolver); ok {
-		if u, ok := ur.ResolveUser(core.UserID(res.UID), res.Epoch); ok {
-			s.seen.Touch(u)
-		}
+	if u, ok := s.svc.ResolveUser(core.UserID(res.UID), res.Epoch); ok {
+		s.seen.Touch(u)
 	}
 }
 
@@ -1013,6 +956,13 @@ func statusForErr(err error) (int, string) {
 	default:
 		return http.StatusInternalServerError, wire.CodeInternal
 	}
+}
+
+// writeLegacyError answers a Table-1 endpoint's service error as plain
+// text, under the same status mapping as the /v1 envelopes.
+func writeLegacyError(w http.ResponseWriter, err error) {
+	status, _ := statusForErr(err)
+	http.Error(w, err.Error(), status)
 }
 
 func writeV1ServiceError(w http.ResponseWriter, err error) {
@@ -1088,21 +1038,20 @@ func SetUIDCookie(w http.ResponseWriter, uid core.UserID) {
 }
 
 // mintUser allocates an unused user ID and registers it so concurrent
-// mints cannot collide. It fails when the service exposes no user
-// directory (e.g. a bare remote proxy).
+// mints cannot collide. It fails when the backend has no user directory
+// (a Node).
 func (s *HTTPServer) mintUser() (core.UserID, error) {
-	dir, ok := s.svc.(UserDirectory)
-	if !ok {
+	if s.dir == nil {
 		return 0, errors.New("service cannot mint users; supply ?uid or the " + UIDCookieName + " cookie")
 	}
 	s.mintMu.Lock()
 	defer s.mintMu.Unlock()
 	for {
 		id := core.UserID(s.mint.Uint32())
-		if id == 0 || dir.KnownUser(id) {
+		if id == 0 || s.dir.KnownUser(id) {
 			continue
 		}
-		dir.RegisterUser(id)
+		s.dir.RegisterUser(id)
 		return id, nil
 	}
 }

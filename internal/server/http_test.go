@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -284,7 +287,7 @@ func TestStatsEndpoint(t *testing.T) {
 
 func TestRotationLoopStartsAndStops(t *testing.T) {
 	e := NewEngine(testConfig())
-	s := NewHTTPServer(e, time.Millisecond)
+	s := NewServer(e, time.Millisecond)
 	s.Start()
 	deadline := time.After(2 * time.Second)
 	for e.anon.Epoch() == 0 {
@@ -375,5 +378,104 @@ func TestUIDParamParsing(t *testing.T) {
 	r := httptest.NewRequest(http.MethodGet, "/online", nil)
 	if _, known, err := UIDFromRequest(r); known || err != nil {
 		t.Errorf("empty request: known=%v err=%v", known, err)
+	}
+}
+
+// failingRater embeds a real engine but fails every Rate with the next
+// error in errs, as a proxying node or a shedding peer would.
+type failingRater struct {
+	*Engine
+	mu   sync.Mutex
+	errs []error
+}
+
+func (f *failingRater) Rate(context.Context, core.UserID, core.ItemID, bool) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	err := f.errs[0]
+	f.errs = f.errs[1:]
+	return err
+}
+
+// TestLegacyRateErrorsMapToStatus: the Table-1 /rate and /online
+// (piggybacked rating) endpoints answer service errors with the same
+// statuses as the /v1 envelopes — 421 for not_primary, 429 for
+// overloaded — not a blanket 500.
+func TestLegacyRateErrorsMapToStatus(t *testing.T) {
+	e := NewEngine(testConfig())
+	defer e.Close()
+	notPrimary := &NotPrimaryError{Partition: 1, PrimaryID: "n2", PrimaryAddr: "10.0.0.2:8080"}
+	svc := &failingRater{Engine: e, errs: []error{notPrimary, ErrOverloaded, notPrimary, ErrOverloaded}}
+	s := NewServer(svc, 0)
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/rate?uid=1&item=2", http.StatusMisdirectedRequest},
+		{http.MethodPost, "/rate?uid=1&item=2", http.StatusTooManyRequests},
+		{http.MethodGet, "/online?uid=1&item=2", http.StatusMisdirectedRequest},
+		{http.MethodGet, "/online?uid=1&item=2", http.StatusTooManyRequests},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+	}
+}
+
+// partitionedStats reports a per-partition counter beside the engine's
+// own, the shape a cluster's /stats carries.
+type partitionedStats struct{ *Engine }
+
+func (p partitionedStats) Stats() map[string]any {
+	st := p.Engine.Stats()
+	st["users_per_part"] = []int64{3, 4}
+	return st
+}
+
+// TestMetricsEndpoint: /metrics serves the /stats counters in Prometheus
+// text format, typing keys ending in _total as counters and everything
+// else as gauges, with one labelled line per partition for slices.
+func TestMetricsEndpoint(t *testing.T) {
+	e := NewEngine(testConfig())
+	defer e.Close()
+	s := NewServer(partitionedStats{e}, 0)
+	ts := httptest.NewServer(s.Handler())
+	defer func() { ts.Close(); s.Close() }()
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
+	for _, want := range []string{
+		"# TYPE hyrec_shed_total counter\nhyrec_shed_total 0\n",
+		"# TYPE hyrec_ws_jobs_pushed_total counter\n",
+		"# TYPE hyrec_migration_users_moved_total counter\n",
+		"# TYPE hyrec_online_users gauge\nhyrec_online_users 0\n",
+		"# TYPE hyrec_topology_partitions gauge\nhyrec_topology_partitions 1\n",
+		"# TYPE hyrec_users_per_part gauge\n" +
+			"hyrec_users_per_part{partition=\"0\"} 3\n" +
+			"hyrec_users_per_part{partition=\"1\"} 4\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, text)
+		}
 	}
 }

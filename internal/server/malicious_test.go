@@ -88,7 +88,7 @@ func TestHTTPNeighborsFloodCapped(t *testing.T) {
 	for u := core.UserID(1); u <= 200; u++ {
 		e.Rate(tctx, u, 1, true)
 	}
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	h := s.Handler()
 
 	flood := wire.Result{UID: 1}
@@ -111,7 +111,7 @@ func TestHTTPNeighborsFloodCapped(t *testing.T) {
 
 func TestHTTPNeighborsGarbageBody(t *testing.T) {
 	e := NewEngine(DefaultConfig())
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	h := s.Handler()
 
 	for _, body := range []string{"", "{", `{"uid": "not-a-number"}`, "\x00\x01\x02"} {

@@ -11,10 +11,10 @@ import (
 
 // This file is the server-side surface of multi-node deployments
 // (internal/node): the role-gating error a non-primary answers with, the
-// capability interfaces the HTTP front-end probes for replication ingest
-// and node-map pushes, and the forwarded-request marking that keeps
-// node-to-node proxying loop-free. The engine itself stays
-// topology-blind; a node composes these pieces around it.
+// NodePlane capability behind replication ingest and node-map pushes,
+// and the forwarded-request marking that keeps node-to-node proxying
+// loop-free. The engine itself stays topology-blind; a node composes
+// these pieces around it.
 
 // ErrNotPrimary is returned when a request that mutates or reads a
 // user's authoritative state lands on a node that does not serve the
@@ -42,32 +42,28 @@ func (e *NotPrimaryError) Error() string {
 
 func (e *NotPrimaryError) Unwrap() error { return ErrNotPrimary }
 
-// Replicator ingests a primary's replication batch into the local
-// mirror (POST /v1/replicate). Only multi-node services implement it.
-type Replicator interface {
+// NodePlane is the node-to-node surface of a multi-node deployment;
+// only *node.Node implements it:
+//
+//   - Replicate ingests a primary's replication batch into the local
+//     mirror (POST /v1/replicate, framed TReplBatch).
+//   - ApplyNodeMap adopts a coordinator-published node map (POST
+//     /v1/nodes): the receiver re-gates its partitions' roles to match.
+//     Maps with a stale epoch must be ignored.
+//   - LocateUser answers which node serves a user's partition as
+//     primary — the ?uid=U form of GET /v1/topology, used by smoke
+//     probes and node-aware clients to find (and then kill or target)
+//     an owner.
+//   - NodeEpoch reports the node-map epoch in force. /healthz
+//     advertises it in NodeEpochHeader so the heartbeat doubles as an
+//     epoch exchange: a prober that sees a peer on a lower epoch
+//     re-pushes its map, and one that sees a higher epoch pulls the
+//     newer map — the repair loop that reconverges restarted nodes and
+//     missed pushes.
+type NodePlane interface {
 	Replicate(ctx context.Context, b *wire.ReplBatch) (*wire.ReplAck, error)
-}
-
-// NodeMapSink adopts a coordinator-published node map (POST /v1/nodes):
-// the receiver re-gates its partitions' roles to match. Implementations
-// must ignore maps with a stale epoch.
-type NodeMapSink interface {
 	ApplyNodeMap(ctx context.Context, m *wire.NodeMap) error
-}
-
-// UserLocator answers which node serves a user's partition as primary —
-// the ?uid=U form of GET /v1/topology, used by smoke probes and
-// node-aware clients to find (and then kill or target) an owner.
-type UserLocator interface {
 	LocateUser(u core.UserID) (wire.NodeRef, bool)
-}
-
-// NodeEpocher reports the node-map epoch currently in force. /healthz
-// advertises it in NodeEpochHeader so the heartbeat path doubles as an
-// epoch exchange: a prober that sees a peer on a lower epoch re-pushes
-// its map, and one that sees a higher epoch pulls the newer map — the
-// repair loop that reconverges restarted nodes and missed pushes.
-type NodeEpocher interface {
 	NodeEpoch() uint64
 }
 

@@ -66,7 +66,7 @@ func TestStatsReportsOnlineUsers(t *testing.T) {
 	for u := core.UserID(1); u <= 5; u++ {
 		e.Rate(tctx, u, 1, true)
 	}
-	s := NewHTTPServer(e, 0)
+	s := NewServer(e, 0)
 	h := s.Handler()
 
 	// Two users show up; stats must count them online.

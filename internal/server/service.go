@@ -39,117 +39,77 @@ type Service interface {
 	Close() error
 }
 
-// The capability interfaces below are optional fast paths and hooks the
-// HTTP front-end probes for with type assertions. In-process services
-// (Engine, Cluster) implement all of them; a remote client need not.
-
-// Payloader serves pre-serialized job payloads (JSON + gzip, metered),
-// skipping the generic encode path.
-type Payloader interface {
-	JobPayload(u core.UserID) (jsonBody, gzBody []byte, err error)
-}
-
-// PayloadAppender is the pooled-buffer form of Payloader: the payloads
-// are appended into caller-owned buffers (wire.GetPayloadBufs), so a
-// steady-state serve allocates nothing. The returned slices alias the
-// (possibly re-grown) inputs and are only valid until the caller recycles
-// them.
-type PayloadAppender interface {
-	AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error)
-}
-
-// JSONJobAppender is the gzip-free sibling of PayloadAppender for
-// transports that ship raw JSON bytes (the framed plane): same payload
-// bytes, no compressed twin produced or metered.
-type JSONJobAppender interface {
-	AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error)
-}
-
-// JobSource dispatches leased jobs to pull-based workers: NextJob blocks
-// until a stale user is available (stalest first) or ctx is done, and
-// returns (nil, nil) when no work arrived in time — the transport layer
-// answers 204 No Content. Services running without the scheduler return
-// (nil, nil) immediately.
+// JobSource dispatches leased jobs to pull-based workers. NextJob
+// blocks until a stale user is available (stalest first) or ctx is
+// done, and returns (nil, nil) when no work arrived in time — the
+// transports answer idle (204 No Content, an empty TJob). Services
+// running without the scheduler return (nil, nil) immediately. Ack
+// resolves a lease without a result: done=true completes the job,
+// done=false abandons it for immediate re-issue; leases that are not
+// outstanding yield ErrUnknownLease (possibly wrapped). The typed HTTP
+// client implements it remotely.
 type JobSource interface {
 	NextJob(ctx context.Context) (*wire.Job, error)
-}
-
-// LeaseAcker resolves leases without a result: done=true completes the
-// job, done=false abandons it for immediate re-issue. Implementations
-// return ErrUnknownLease (possibly wrapped) for leases that are not
-// outstanding.
-type LeaseAcker interface {
 	Ack(ctx context.Context, lease uint64, done bool) error
 }
 
-// WorkerJobMeter accounts the serialized size of a worker-dispatched
-// job. The user-driven payload path meters inside JobPayload; the
-// worker path serializes in the transport layer, which reports the
-// bytes back through this hook so /stats bandwidth counters cover both
-// (gzBytes is 0 when the response was not compressed).
-type WorkerJobMeter interface {
+// Backend is the contract every in-process deployment — *Engine,
+// *cluster.Cluster and *node.Node — implements, and the one the HTTP,
+// WebSocket and framed transports serve. Beyond Service it covers the
+// worker dispatch (JobSource) and the hooks the transports drive:
+//
+//   - AppendJobPayload appends u's serialized job (JSON plus its gzip
+//     twin, both metered) into caller-owned buffers (wire.GetPayloadBufs),
+//     so a steady-state serve allocates nothing. The returned slices
+//     alias the (possibly re-grown) inputs and are valid until the
+//     caller recycles them.
+//   - AppendJobJSON is its gzip-free sibling for the framed plane: the
+//     same JSON bytes, no compressed twin produced or metered.
+//   - CountWorkerJob meters a worker-dispatched job, which the transport
+//     serializes itself (gzBytes is 0 when it was not compressed), so
+//     /stats bandwidth counters cover both dispatch paths.
+//   - RotateAnonymizer advances the anonymous mapping; the server
+//     drives it on a timer (Section 3.1).
+//   - ResolveUser inverts a pseudonym minted in a given epoch, for
+//     presence bookkeeping on widget results.
+//   - Config exposes the engine-level configuration.
+//   - Topology reports the current shape, served on GET /v1/topology
+//     and summarized by /metrics (a single engine is one partition).
+//   - Stats reports the operational counters behind /stats.
+type Backend interface {
+	Service
+	JobSource
+	AppendJobPayload(ctx context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error)
+	AppendJobJSON(ctx context.Context, u core.UserID, jsonDst []byte) ([]byte, error)
 	CountWorkerJob(job *wire.Job, jsonBytes, gzBytes int)
+	RotateAnonymizer()
+	ResolveUser(alias core.UserID, epoch uint64) (core.UserID, bool)
+	Config() Config
+	Topology() wire.Topology
+	Stats() map[string]any
 }
 
+// The interfaces below are the capabilities only some deployments have.
+// NewServer resolves them once; requests never type-assert.
+
 // UserDirectory registers and looks up users, letting the HTTP layer
-// mint cookie identities on first contact.
+// mint cookie identities on first contact. Engine and Cluster implement
+// it; a Node does not, so first-contact requests without an identity
+// answer 400 there.
 type UserDirectory interface {
 	KnownUser(u core.UserID) bool
 	RegisterUser(u core.UserID)
 }
 
-// Rotator advances the anonymous mapping; the HTTP layer drives it on a
-// timer (Section 3.1: identifiers are periodically shuffled).
-type Rotator interface {
-	RotateAnonymizer()
-}
-
-// UserResolver inverts a pseudonym minted in a given epoch, used by the
-// HTTP layer for presence bookkeeping on widget results.
-type UserResolver interface {
-	ResolveUser(alias core.UserID, epoch uint64) (core.UserID, bool)
-}
-
-// Configured exposes the engine-level configuration.
-type Configured interface {
-	Config() Config
-}
-
-// TopologyProvider reports the deployment's current topology — served
-// on GET /v1/topology and summarized by the /metrics gauges. A single
-// engine is a 1-partition topology; a cluster reports its live ring.
-type TopologyProvider interface {
-	Topology() wire.Topology
-}
-
 // Scaler reshapes the deployment to a new partition count at runtime,
 // streaming moved users' state between partitions (POST /v1/topology,
-// SIGHUP in cmd/hyrec-server). Only elastic deployments (the cluster)
-// implement it; the call is synchronous and returns once the migration
-// has completed.
+// SIGHUP in cmd/hyrec-server). Only the cluster implements it; the call
+// is synchronous and returns once the migration has completed.
 type Scaler interface {
 	Scale(ctx context.Context, partitions int) error
 }
 
-// StatsProvider reports operational counters for the /stats endpoint.
-type StatsProvider interface {
-	Stats() map[string]any
-}
-
-// Compile-time check: the single-machine engine is a full-capability
-// Service. (internal/cluster asserts the same for *Cluster, and
-// hyrec/client for *Client.)
 var (
-	_ Service          = (*Engine)(nil)
-	_ Payloader        = (*Engine)(nil)
-	_ PayloadAppender  = (*Engine)(nil)
-	_ UserDirectory    = (*Engine)(nil)
-	_ Rotator          = (*Engine)(nil)
-	_ UserResolver     = (*Engine)(nil)
-	_ Configured       = (*Engine)(nil)
-	_ StatsProvider    = (*Engine)(nil)
-	_ JobSource        = (*Engine)(nil)
-	_ LeaseAcker       = (*Engine)(nil)
-	_ WorkerJobMeter   = (*Engine)(nil)
-	_ TopologyProvider = (*Engine)(nil)
+	_ Backend       = (*Engine)(nil)
+	_ UserDirectory = (*Engine)(nil)
 )

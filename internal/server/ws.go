@@ -31,12 +31,6 @@ var wsWriteGrace = 30 * time.Second
 // long-poll /v1/job?worker=1 endpoint remains the compatibility surface
 // for clients that cannot hold a socket.
 func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
-	js, ok := s.svc.(JobSource)
-	if !ok {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"service does not dispatch jobs to workers")
-		return
-	}
 	conn, err := ws.Upgrade(w, r, wire.MaxBodyBytes)
 	if err != nil {
 		// Upgrade already answered the request.
@@ -78,29 +72,20 @@ func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	// Push loop: one leased job per credit.
-	for {
-		if !sess.take(ctx) {
-			break
-		}
-		job, err := s.nextJobInWindow(ctx, js)
+	// Push loop: one leased job per credit, waiting as long as the
+	// session lives.
+	for sess.take(ctx) {
+		var writeErr error
+		leased, err := s.pullJob(ctx, false, func(body []byte) error {
+			writeErr = conn.WriteMessage(ws.OpText, body)
+			return writeErr
+		})
 		if err != nil {
 			s.wsSendError(conn, err)
 			break
 		}
-		if job == nil { // session over
+		if !leased || writeErr != nil { // session over
 			break
-		}
-		bufs := wire.GetPayloadBufs()
-		raw := wire.AppendJob(bufs.JSON, job, nil)
-		bufs.JSON = raw
-		err = conn.WriteMessage(ws.OpText, raw)
-		wire.PutPayloadBufs(bufs)
-		if err != nil {
-			break
-		}
-		if meter, ok := s.svc.(WorkerJobMeter); ok {
-			meter.CountWorkerJob(job, len(raw), 0)
 		}
 		s.wsJobsPushed.Add(1)
 	}
@@ -109,29 +94,8 @@ func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
 	conn.WriteClose(ws.CloseGoingAway, "")
 }
 
-// nextJobInWindow blocks on the job source until work, session end, or a
-// dispatch error, re-polling early nils exactly like the long-poll
-// handler so a mid-Evict wake cannot stall a credited worker.
-func (s *HTTPServer) nextJobInWindow(ctx context.Context, js JobSource) (*wire.Job, error) {
-	for {
-		job, err := js.NextJob(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if job != nil {
-			return job, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, nil
-		case <-time.After(workerRepollEvery):
-		}
-	}
-}
-
 // readWorkerSocket drains worker→server messages until the socket ends.
 func (s *HTTPServer) readWorkerSocket(ctx context.Context, conn *ws.Conn, sess *wsSession) {
-	la, canAck := s.svc.(LeaseAcker)
 	for {
 		_, frame, err := conn.ReadMessage()
 		if err != nil {
@@ -153,11 +117,7 @@ func (s *HTTPServer) readWorkerSocket(ctx context.Context, conn *ws.Conn, sess *
 			}
 		}
 		if msg.Ack != nil {
-			if !canAck {
-				s.wsSendErrorCode(conn, wire.CodeBadRequest, "service does not manage leases")
-				continue
-			}
-			if err := la.Ack(ctx, msg.Ack.Lease, msg.Ack.Done); err != nil {
+			if err := s.svc.Ack(ctx, msg.Ack.Lease, msg.Ack.Done); err != nil {
 				s.wsSendError(conn, err)
 			}
 		}

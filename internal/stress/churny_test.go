@@ -102,13 +102,3 @@ func TestChurnyWorkersConverge(t *testing.T) {
 		t.Fatalf("fallback pool absorbed nothing: %+v", st)
 	}
 }
-
-// TestChurnyWorkersOnSyncService: the harness degrades gracefully when
-// the service has no scheduler.
-func TestChurnyWorkersOnSyncService(t *testing.T) {
-	e := server.NewEngine(server.DefaultConfig())
-	report := ChurnyWorkers(e, 2, 0.5, 1, 50*time.Millisecond)
-	if report.Dispatched != 0 {
-		t.Fatalf("sync service dispatched %d jobs", report.Dispatched)
-	}
-}

@@ -22,7 +22,8 @@ import (
 // handful of end-state invariants.
 
 // soakService runs the mixed soak against svc for the given window.
-func soakService(t *testing.T, svc server.Service, window time.Duration) {
+func soakService(t *testing.T, b server.Backend, window time.Duration) {
+	var svc server.Service = b
 	t.Helper()
 	const users = 96
 	const items = 400
@@ -37,9 +38,6 @@ func soakService(t *testing.T, svc server.Service, window time.Duration) {
 		t.Fatal(err)
 	}
 
-	rotor, canRotate := svc.(server.Rotator)
-	acker, canAck := svc.(server.LeaseAcker)
-	src, canPull := svc.(server.JobSource)
 	widget := hyrec.NewWidget()
 	var applied, jobs, rotations atomic.Int64
 
@@ -79,19 +77,15 @@ func soakService(t *testing.T, svc server.Service, window time.Duration) {
 				}
 				return nil
 			case 7:
-				if !canPull {
-					_, err := svc.Neighbors(ctx, u)
-					return err
-				}
 				pollCtx, cancel := context.WithTimeout(ctx, 5*time.Millisecond)
-				job, err := src.NextJob(pollCtx)
+				job, err := b.NextJob(pollCtx)
 				cancel()
 				if err != nil || job == nil {
 					return err
 				}
-				if job.Lease != 0 && i%3 == 0 && canAck {
+				if job.Lease != 0 && i%3 == 0 {
 					// A churny worker: abandon politely for re-issue.
-					return workerErr(acker.Ack(ctx, job.Lease, false))
+					return workerErr(b.Ack(ctx, job.Lease, false))
 				}
 				res, _ := widget.Execute(job)
 				if _, err := svc.ApplyResult(ctx, res); workerErr(err) != nil {
@@ -106,8 +100,8 @@ func soakService(t *testing.T, svc server.Service, window time.Duration) {
 				_, err := svc.Recommendations(ctx, u, 10)
 				return err
 			default:
-				if canRotate && i%64 == 63 {
-					rotor.RotateAnonymizer()
+				if i%64 == 63 {
+					b.RotateAnonymizer()
 					rotations.Add(1)
 					return nil
 				}
@@ -125,7 +119,7 @@ func soakService(t *testing.T, svc server.Service, window time.Duration) {
 	if jobs.Load() == 0 || applied.Load() == 0 {
 		t.Fatalf("soak never exercised the personalization cycle: jobs=%d applied=%d", jobs.Load(), applied.Load())
 	}
-	if canRotate && rotations.Load() == 0 {
+	if rotations.Load() == 0 {
 		t.Fatal("soak never rotated the anonymiser")
 	}
 
