@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -240,31 +239,8 @@ func decodeFrameError(payload []byte) error {
 		return fmt.Errorf("hyrec client: bad framed error envelope: %w", err)
 	}
 	return &APIError{
-		Status: statusForCode(code), Code: code, Message: msg, Primary: primary,
+		Status: wire.StatusForCode(code), Code: code, Message: msg, Primary: primary,
 		RetryAfter: time.Duration(retryMS) * time.Millisecond,
-	}
-}
-
-// statusForCode reconstructs the HTTP status the JSON path would have
-// carried — the inverse of the server's statusForErr mapping.
-func statusForCode(code string) int {
-	switch code {
-	case wire.CodeStaleEpoch:
-		return http.StatusGone
-	case wire.CodeUnknownUser, wire.CodeUnknownLease:
-		return http.StatusNotFound
-	case wire.CodeMoved, wire.CodeNotPrimary:
-		return http.StatusMisdirectedRequest
-	case wire.CodeForbidden:
-		return http.StatusForbidden
-	case wire.CodeBadRequest:
-		return http.StatusBadRequest
-	case wire.CodeTooLarge:
-		return http.StatusRequestEntityTooLarge
-	case wire.CodeOverloaded:
-		return http.StatusTooManyRequests
-	default:
-		return http.StatusInternalServerError
 	}
 }
 

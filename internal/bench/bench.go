@@ -6,8 +6,8 @@
 // users than a CRec-style central recommender): sustained throughput,
 // request latency (p50/p99), and allocations per operation.
 //
-// The runner is the closed-loop shape of stress.ServiceThroughput with
-// loadgen.RunOps's latency accounting folded in: a fixed worker count
+// The runner is the repository's one closed-loop driver (soak and
+// batch-versus-single tests run on it too): a fixed worker count
 // issues operations back-to-back for a measurement window, each worker
 // recording latencies locally (no shared state on the hot path), and
 // process-wide allocation counters are sampled around the window.

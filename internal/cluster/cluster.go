@@ -385,8 +385,10 @@ type routed struct {
 // Claim precedence mirrors the pre-ring routing: a partition that both
 // minted and owns the resolved user wins; a mid-move source partition
 // claims next (the result then double-routes to the destination); a
-// completed move yields a moved claim; an ownership-only match is kept
-// as the last fallback so the owning engine can report its own error.
+// completed move yields a moved claim. An ownership-only match (the
+// partition owns the resolved ID but never registered it) is no claim:
+// it is a sibling's Feistel inversion of an alias whose minting partition
+// has evicted the epoch, so the result is unroutable.
 func (c *Cluster) route(t *topology, res *wire.Result) (routed, bool) {
 	if res.Lease != 0 {
 		if pi, ok := t.lanes[(res.Lease-1)%laneStep]; ok {
@@ -395,8 +397,7 @@ func (c *Cluster) route(t *topology, res *wire.Result) (routed, bool) {
 			}
 		}
 	}
-	var fb routed
-	var hasFB, hasMoved bool
+	var hasMoved bool
 	var moved routed
 	// Retired scale-in sources are scanned too: jobs they minted are
 	// still in flight mid-move and must double-route, not bounce.
@@ -422,20 +423,9 @@ func (c *Cluster) route(t *topology, res *wire.Result) (routed, bool) {
 				moved = routed{mint: e, apply: t.parts[owner], user: u, moved: true}
 				hasMoved = true
 			}
-		default: // owner == i, user unknown
-			if !hasFB {
-				fb = routed{mint: e, apply: e, user: u}
-				hasFB = true
-			}
 		}
 	}
-	if hasMoved {
-		return moved, true
-	}
-	if hasFB {
-		return fb, true
-	}
-	return routed{}, false
+	return moved, hasMoved
 }
 
 // claim verifies a lane-registry hit: partition pi must resolve the
@@ -513,14 +503,12 @@ func (c *Cluster) ApplyResult(ctx context.Context, res *wire.Result) ([]core.Ite
 }
 
 // ResolveUser inverts a user pseudonym against the partition that minted
-// it. Like route, a known-user claim wins over ownership-only matches —
-// a wrong partition's Feistel inversion yields a random ID that passes
-// the ownership check ~1/N of the time, but is almost never registered.
-// Transport layers use this for presence bookkeeping.
+// it. Like route, only a known user counts: a wrong partition's Feistel
+// inversion yields a random ID that passes the ownership check ~1/N of
+// the time, but is almost never registered. Transport layers use this
+// for presence bookkeeping.
 func (c *Cluster) ResolveUser(alias core.UserID, epoch uint64) (core.UserID, bool) {
 	t := c.snap()
-	var fb core.UserID
-	var hasFB bool
 	for i := 0; i < t.numEngines(); i++ {
 		e := t.engineAt(i)
 		u, ok := e.ResolveUser(alias, epoch)
@@ -537,11 +525,8 @@ func (c *Cluster) ResolveUser(alias core.UserID, epoch uint64) (core.UserID, boo
 		if t.parts[owner].KnownUser(u) || e.KnownUser(u) {
 			return u, true
 		}
-		if !hasFB {
-			fb, hasFB = u, true
-		}
 	}
-	return fb, hasFB
+	return 0, false
 }
 
 // Neighbors returns u's current KNN approximation from the owning

@@ -367,3 +367,46 @@ func TestUnroutableResult(t *testing.T) {
 		t.Fatal("ApplyResult accepted a result with an unknown epoch")
 	}
 }
+
+// TestEvictedEpochOnSiblingOwnedIDIsUnroutable pins the routing rule
+// behind the TestConcurrentRateJob flake: once the minting partition has
+// evicted a result's epoch, a sibling partition whose own Feistel
+// inversion of the alias lands on an ID it owns (but never registered)
+// must not claim the result. The answer is ErrUnroutable, not the
+// sibling's ErrUnknownUser, and presence resolution finds no user.
+func TestEvictedEpochOnSiblingOwnedIDIsUnroutable(t *testing.T) {
+	w := widget.New()
+	for u := core.UserID(1); u <= 200; u++ {
+		c := New(testConfig(), 4)
+		c.Rate(tctx, u, 1, true)
+		job, err := c.Job(tctx, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := w.Execute(job)
+		mint := c.Ring().Owner(u)
+		c.Engine(mint).RotateAnonymizer()
+		c.Engine(mint).RotateAnonymizer()
+		landed := false
+		for j := 0; j < c.NumPartitions(); j++ {
+			if j == mint {
+				continue
+			}
+			v, ok := c.Engine(j).ResolveUser(core.UserID(res.UID), res.Epoch)
+			if ok && c.Ring().Owner(v) == j && !c.Engine(j).KnownUser(v) {
+				landed = true
+			}
+		}
+		if !landed {
+			continue
+		}
+		if _, err := c.ApplyResult(tctx, res); !errors.Is(err, ErrUnroutable) {
+			t.Fatalf("user %d: ApplyResult after the minting partition evicted the epoch = %v, want ErrUnroutable", u, err)
+		}
+		if v, ok := c.ResolveUser(core.UserID(res.UID), res.Epoch); ok {
+			t.Fatalf("user %d: ResolveUser claimed unregistered user %d from a sibling's inversion", u, v)
+		}
+		return
+	}
+	t.Fatal("no user's alias landed on a sibling-owned ID; the walk proves nothing")
+}

@@ -2,16 +2,9 @@ package loadgen
 
 import (
 	"context"
-	"errors"
-	"math/rand"
-	"sync"
-	"time"
 
-	"hyrec"
 	"hyrec/client"
 	"hyrec/internal/core"
-	"hyrec/internal/stats"
-	"hyrec/internal/widget"
 )
 
 // Op is one logical operation issued through the typed client — the
@@ -51,109 +44,6 @@ func JobOp(uids []uint32) Op {
 		_, err := c.Job(ctx, core.UserID(uids[i%len(uids)]))
 		return err
 	}
-}
-
-// WorkerOp drives the scheduler's pull path: lease the next stale job
-// (GET /v1/job?worker=1), execute it with kernel, and post the result.
-// With probability abandonProb the leased job is abandoned instead —
-// politely (POST /v1/ack done=false), so the server re-issues it
-// immediately; this is the churny-worker load shape for measuring the
-// scheduler under the wire protocol. An empty queue counts as a
-// completed (no-op) request.
-func WorkerOp(kernel *widget.Widget, abandonProb float64, seed int64) Op {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(seed))
-	return func(ctx context.Context, c *client.Client, i int) error {
-		pollCtx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
-		defer cancel()
-		job, err := c.NextJob(pollCtx)
-		if err != nil || job == nil {
-			return err
-		}
-		mu.Lock()
-		drop := rng.Float64() < abandonProb
-		mu.Unlock()
-		if drop {
-			return c.Ack(ctx, job.Lease, false)
-		}
-		res, _ := kernel.Execute(job)
-		if _, err := c.ApplyResult(ctx, res); err != nil {
-			// Mirror client.Worker.RunOnce: a stale epoch or superseded
-			// lease is the scheduler working, not a workload failure.
-			if errors.Is(err, hyrec.ErrStaleEpoch) || errors.Is(err, hyrec.ErrUnknownLease) {
-				return nil
-			}
-			return err
-		}
-		return nil
-	}
-}
-
-// RunOps issues `requests` operations through the typed client with
-// `concurrency` in-flight workers — the client-path analogue of Run,
-// measuring the real network stack (connection reuse, JSON, gzip)
-// instead of raw URL fetches.
-func RunOps(ctx context.Context, c *client.Client, op Op, requests, concurrency int) Result {
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if requests < 1 {
-		requests = 1
-	}
-	latencies := make([]float64, requests)
-	var failures int
-	var mu sync.Mutex
-
-	var next int
-	var nextMu sync.Mutex
-	takeTicket := func() (int, bool) {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= requests {
-			return 0, false
-		}
-		i := next
-		next++
-		return i, true
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i, ok := takeTicket()
-				if !ok {
-					return
-				}
-				reqStart := time.Now()
-				err := op(ctx, c, i)
-				elapsed := time.Since(reqStart)
-				mu.Lock()
-				latencies[i] = float64(elapsed) / float64(time.Millisecond)
-				if err != nil {
-					failures++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := Result{
-		Requests:    requests,
-		Concurrency: concurrency,
-		Failures:    failures,
-		Elapsed:     elapsed,
-		Latency:     stats.Summarize(latencies),
-	}
-	if elapsed > 0 {
-		res.Throughput = float64(requests) / elapsed.Seconds()
-	}
-	return res
 }
 
 // UIDRange returns the uid slice [1, n] — a convenience for spreading

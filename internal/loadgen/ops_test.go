@@ -1,4 +1,4 @@
-package loadgen
+package loadgen_test
 
 import (
 	"context"
@@ -8,7 +8,9 @@ import (
 
 	"hyrec"
 	"hyrec/client"
-	"hyrec/internal/widget"
+	"hyrec/internal/bench"
+	"hyrec/internal/loadgen"
+	"hyrec/internal/server"
 )
 
 func newBenchServer(tb testing.TB) (*hyrec.Engine, *httptest.Server) {
@@ -20,30 +22,12 @@ func newBenchServer(tb testing.TB) (*hyrec.Engine, *httptest.Server) {
 	return eng, ts
 }
 
-// TestRunOps drives the client-path load generator end to end: every
-// request succeeds and the ratings land on the server.
-func TestRunOps(t *testing.T) {
-	eng, ts := newBenchServer(t)
-	c := client.New(ts.URL)
-	defer c.Close()
-
-	uids := UIDRange(16)
-	res := RunOps(context.Background(), c, RateOp(uids, 50), 64, 4)
-	if res.Failures != 0 {
-		t.Fatalf("failures = %d (result %s)", res.Failures, res)
-	}
-	if res.Requests != 64 || res.Throughput <= 0 {
-		t.Fatalf("result = %+v", res)
-	}
-	if got := eng.Profiles().Len(); got != 16 {
-		t.Fatalf("server saw %d users, want 16", got)
-	}
-}
-
-// TestBatchBeatsSingleRate is the protocol's reason to exist: moving the
-// same rating volume as one batch per request instead of one rating per
-// request must be at least 2× faster end to end. Skipped with -short to
-// keep CI timing-insensitive; the benchmarks below track the same ratio.
+// TestBatchBeatsSingleRate is the protocol's reason to exist: moving
+// ratings as one batch per request instead of one rating per request
+// must be at least 2× faster end to end. Both paths run through the
+// bench runner's closed loop for the same window. Skipped with -short
+// to keep CI timing-insensitive; the benchmarks below track the same
+// ratio.
 func TestBatchBeatsSingleRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; run without -short")
@@ -52,26 +36,31 @@ func TestBatchBeatsSingleRate(t *testing.T) {
 	c := client.New(ts.URL)
 	defer c.Close()
 
-	uids := UIDRange(64)
-	const (
-		batch   = 64
-		ratings = 64 * 48 // total rating volume moved by each path
-	)
-	ctx := context.Background()
-
-	// Warm the connection pool so neither path pays dial costs.
-	RunOps(ctx, c, RateOp(uids, 100), 32, 4)
-
-	single := RunOps(ctx, c, RateOp(uids, 100), ratings, 4)
-	batched := RunOps(ctx, c, RateBatchOp(uids, 100, batch), ratings/batch, 4)
-	if single.Failures != 0 || batched.Failures != 0 {
-		t.Fatalf("failures: single=%d batch=%d", single.Failures, batched.Failures)
+	uids := loadgen.UIDRange(64)
+	const batch = 64
+	run := func(name string, op loadgen.Op) bench.Result {
+		t.Helper()
+		res, err := bench.Run(context.Background(), c, bench.Scenario{
+			Name: name,
+			Op: func(ctx context.Context, _ server.Service, worker, i int) error {
+				return op(ctx, c, worker*1_000_003+i)
+			},
+		}, bench.Options{Window: 400 * time.Millisecond, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failures != 0 {
+			t.Fatalf("%s: %d failures", name, res.Failures)
+		}
+		return res
 	}
+	single := run("rate-single", loadgen.RateOp(uids, 100))
+	batched := run("rate-batch", loadgen.RateBatchOp(uids, 100, batch))
 
 	// Compare ratings-per-second: the batch path moves `batch` ratings
 	// per request.
-	singleRPS := single.Throughput
-	batchRPS := batched.Throughput * batch
+	singleRPS := single.ThroughputOpsPerSec
+	batchRPS := batched.ThroughputOpsPerSec * batch
 	t.Logf("single: %.0f ratings/s, batched(×%d): %.0f ratings/s (%.1fx)",
 		singleRPS, batch, batchRPS, batchRPS/singleRPS)
 	if batchRPS < 2*singleRPS {
@@ -85,8 +74,8 @@ func BenchmarkClientRateSingle(b *testing.B) {
 	_, ts := newBenchServer(b)
 	c := client.New(ts.URL)
 	defer c.Close()
-	uids := UIDRange(64)
-	op := RateOp(uids, 100)
+	uids := loadgen.UIDRange(64)
+	op := loadgen.RateOp(uids, 100)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -104,9 +93,9 @@ func BenchmarkClientRateBatch(b *testing.B) {
 	_, ts := newBenchServer(b)
 	c := client.New(ts.URL)
 	defer c.Close()
-	uids := UIDRange(64)
+	uids := loadgen.UIDRange(64)
 	const batch = 64
-	op := RateBatchOp(uids, 100, batch)
+	op := loadgen.RateBatchOp(uids, 100, batch)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -128,40 +117,12 @@ func BenchmarkClientJob(b *testing.B) {
 	}
 	c := client.New(ts.URL)
 	defer c.Close()
-	op := JobOp(UIDRange(64))
+	op := loadgen.JobOp(loadgen.UIDRange(64))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := op(ctx, c, i); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestWorkerOp drives the scheduler's pull path through the load
-// generator: ratings create staleness, WorkerOp leases and completes
-// the jobs over the wire, and the scheduler drains.
-func TestWorkerOp(t *testing.T) {
-	cfg := hyrec.DefaultConfig()
-	cfg.K = 3
-	cfg.LeaseTTL = time.Minute
-	eng := hyrec.NewEngine(cfg)
-	srv := hyrec.NewServiceServer(eng, 0)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close(); eng.Close() })
-
-	c := client.New(ts.URL)
-	defer c.Close()
-
-	uids := UIDRange(12)
-	if res := RunOps(context.Background(), c, RateOp(uids, 20), 24, 4); res.Failures != 0 {
-		t.Fatalf("rating failures: %s", res)
-	}
-	res := RunOps(context.Background(), c, WorkerOp(widget.New(), 0, 1), 40, 4)
-	if res.Failures != 0 {
-		t.Fatalf("worker-op failures: %s", res)
-	}
-	if !eng.Scheduler().Quiet() {
-		t.Fatalf("scheduler not drained by WorkerOp: %+v", eng.Scheduler().Stats())
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"net"
@@ -131,258 +130,202 @@ func (s *HTTPServer) frameHandshake(cn *frame.Conn) (authorized bool, err error)
 		return false, err
 	}
 	if version != frame.Version {
-		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest,
-			fmt.Sprintf("framed protocol version %d unsupported (want %d)", version, frame.Version))
+		sendFrameError(cn, f.Stream, badRequest(
+			fmt.Sprintf("framed protocol version %d unsupported (want %d)", version, frame.Version)))
 		return false, errors.New("version mismatch")
 	}
 	// Like the HTTP plane, a wrong or missing secret does not reject the
 	// connection — it leaves the replication lane gated (TReplBatch
 	// answers forbidden) while the client lanes stay usable.
-	authorized = s.nodeSecret == "" ||
-		subtle.ConstantTimeCompare([]byte(secret), []byte(s.nodeSecret)) == 1
+	authorized = s.nodeSecretOK(secret)
 	return authorized, cn.WriteFrame(frame.THelloOK, f.Stream, []byte{frame.Version})
 }
 
-// dispatchFrame decodes and handles one request frame. Handlers run
-// inline on the connection's read loop — the framed twin of HTTP/1.1
-// pipelining, where the read loop is the natural backpressure point —
-// except TJobPull, which parks for its long-poll window on its own
-// goroutine so a waiting worker never blocks rate batches behind it.
-// Inline handling means decode buffers and f.Payload (which aliases the
-// connection's read buffer) stay valid for the handler's whole run, so
-// the hot paths decode and answer without allocating.
+// frameRoutes is the framed plane's route table: the admission class
+// each request type clears before its handler runs. TReplBatch is node
+// plane traffic — never shed, but refused on connections that did not
+// present the node secret. TJobPull has no inline handler: it parks
+// (parkJobPull).
+var frameRoutes = map[frame.Type]struct {
+	class admit.Class
+	h     func(s *HTTPServer, ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) error
+}{
+	frame.TRateBatch: {admit.Rating, (*HTTPServer).frameRate},
+	frame.TJobPull:   {admit.Worker, nil},
+	frame.TJobGet:    {admit.Read, (*HTTPServer).frameJobGet},
+	frame.TResult:    {admit.Worker, (*HTTPServer).frameResult},
+	frame.TAckBatch:  {admit.Worker, (*HTTPServer).frameAckBatch},
+	frame.TReplBatch: {nodePlane, (*HTTPServer).frameReplicate},
+}
+
+// dispatchFrame is the framed plane's wrapper: it handles one request
+// frame and answers the handler's error as a TError on its stream.
+// Handlers run inline on the connection's read loop — the framed twin
+// of HTTP/1.1 pipelining, where the read loop is the natural
+// backpressure point — except TJobPull, which parks for its long-poll
+// window on its own goroutine so a waiting worker never blocks rate
+// batches behind it. Inline handling means decode buffers and f.Payload
+// (which aliases the connection's read buffer) stay valid for the
+// handler's whole run, so the hot paths decode and answer without
+// allocating.
 func (s *HTTPServer) dispatchFrame(ctx context.Context, cn *frame.Conn, f frame.Frame, authorized bool, scr *frameScratch) {
-	switch f.Type {
-	case frame.TRateBatch:
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Rating)
-		if !admitted {
-			return
-		}
-		defer release()
-		ratings, err := frame.DecodeRateBatch(f.Payload, scr.ratings[:0])
-		scr.ratings = ratings[:0]
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad rate batch: "+err.Error())
-			return
-		}
-		for _, r := range ratings {
-			s.seen.Touch(r.User)
-		}
-		if err := s.svc.RateBatch(ctx, ratings); err != nil {
-			s.sendFrameError(cn, f.Stream, err)
-			return
-		}
-		var ob [10]byte
-		cn.WriteFrame(frame.TRateOK, f.Stream, frame.AppendUint(ob[:0], uint64(len(ratings))))
-	case frame.TJobPull:
-		waitMS, err := frame.DecodeUint(f.Payload)
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad job pull: "+err.Error())
-			return
-		}
-		// Parked pulls are bounded three ways before a goroutine spawns:
-		// per connection, across the server, and by the worker admission
-		// class (a parked pull holds its worker slot for the whole park,
-		// like the HTTP long-poll). All three shed with the overloaded
-		// TError. Only this read loop increments scr.pulls, so the
-		// check-then-add is race-free for admission.
-		if scr.pulls.Load() >= maxConnPullStreams {
-			s.sendFrameOverloaded(cn, f.Stream, "too many parked job pulls on this connection")
-			return
-		}
-		if s.frameStreams.Load() >= maxServerPullStreams {
-			s.sendFrameOverloaded(cn, f.Stream, "too many parked job pulls server-wide")
-			return
-		}
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Worker)
-		if !admitted {
-			return
-		}
-		scr.pulls.Add(1)
-		s.spawnFrame(cn, f.Stream, func(stream uint64) {
-			defer release()
-			defer scr.pulls.Add(-1)
-			s.frameJobPull(ctx, cn, stream, time.Duration(waitMS)*time.Millisecond)
-		})
-	case frame.TJobGet:
-		uid, err := frame.DecodeUID(f.Payload)
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad job get: "+err.Error())
-			return
-		}
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Read)
-		if !admitted {
-			return
-		}
-		defer release()
-		s.frameJobGet(ctx, cn, f.Stream, core.UserID(uid))
-	case frame.TResult:
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Worker)
-		if !admitted {
-			return
-		}
-		defer release()
-		res, err := wire.DecodeResult(f.Payload)
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad result body: "+err.Error())
-			return
-		}
-		recs, err := s.svc.ApplyResult(ctx, res)
-		if err != nil {
-			s.sendFrameError(cn, f.Stream, err)
-			return
-		}
-		s.touchResult(res)
-		buf := wire.GetBuf()
-		out := frame.AppendUint((*buf)[:0], uint64(len(recs)))
-		for _, it := range recs {
-			out = frame.AppendUID(out, uint32(it))
-		}
-		*buf = out
-		cn.WriteFrame(frame.TRecs, f.Stream, out)
-		wire.PutBuf(buf)
-	case frame.TAckBatch:
-		release, admitted := s.admitFrame(ctx, cn, f.Stream, admit.Worker)
-		if !admitted {
-			return
-		}
-		defer release()
-		acks, err := frame.DecodeAckBatch(f.Payload, scr.acks[:0])
-		scr.acks = acks[:0]
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad ack batch: "+err.Error())
-			return
-		}
-		s.frameAckBatch(ctx, cn, f.Stream, acks)
-	case frame.TReplBatch:
-		if s.nodeSecret != "" && !authorized {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeForbidden, "node-plane secret missing or wrong")
-			return
-		}
-		batch, err := frame.DecodeReplBatch(f.Payload)
-		if err != nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "bad replicate batch: "+err.Error())
-			return
-		}
-		if s.node == nil {
-			s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest, "service does not accept replication")
-			return
-		}
-		ack, err := s.node.Replicate(ctx, batch)
-		if err != nil {
-			s.sendFrameError(cn, f.Stream, err)
-			return
-		}
-		var ob [20]byte
-		out := frame.AppendUint(ob[:0], uint64(ack.Applied))
-		out = frame.AppendUint(out, ack.Seq)
-		cn.WriteFrame(frame.TReplOK, f.Stream, out)
-	default:
-		s.sendFrameErrorCode(cn, f.Stream, wire.CodeBadRequest,
-			fmt.Sprintf("unexpected frame type %#x", byte(f.Type)))
+	if err := s.serveFrame(ctx, cn, f, authorized, scr); err != nil {
+		sendFrameError(cn, f.Stream, err)
 	}
 }
 
-// spawnFrame runs one long-poll handler on its own goroutine, tracked
-// by the frame_streams_active gauge.
-func (s *HTTPServer) spawnFrame(cn *frame.Conn, stream uint64, fn func(stream uint64)) {
-	s.frameStreams.Add(1)
-	go func() {
-		defer s.frameStreams.Add(-1)
-		fn(stream)
-	}()
+func (s *HTTPServer) serveFrame(ctx context.Context, cn *frame.Conn, f frame.Frame, authorized bool, scr *frameScratch) error {
+	rt, ok := frameRoutes[f.Type]
+	switch {
+	case !ok:
+		return badRequest(fmt.Sprintf("unexpected frame type %#x", byte(f.Type)))
+	case rt.class == nodePlane && !authorized:
+		// Like the HTTP plane, a wrong or missing secret leaves the
+		// replication lane gated while the client lanes stay usable.
+		return errNodeSecret
+	case rt.class == nodePlane:
+		return rt.h(s, ctx, cn, f, scr)
+	}
+	release, err := s.acquire(ctx, rt.class)
+	if err != nil {
+		return err
+	}
+	if f.Type == frame.TJobPull {
+		return s.parkJobPull(ctx, cn, f, scr, release)
+	}
+	defer release()
+	return rt.h(s, ctx, cn, f, scr)
 }
 
-// frameJobPull is the framed twin of handleV1WorkerJob: long-poll the
-// staleness queue up to wait (capped like the HTTP path) and answer a
-// TJob whose payload is the exact JSON bytes GET /v1/job?worker=1 would
-// serve — empty when the queue stayed idle.
-func (s *HTTPServer) frameJobPull(ctx context.Context, cn *frame.Conn, stream uint64, wait time.Duration) {
-	pollCtx, cancel := s.pollWindow(ctx, wait)
-	defer cancel()
-	leased, err := s.pullJob(pollCtx, false, func(body []byte) error {
-		cn.WriteFrame(frame.TJob, stream, body)
-		return nil
-	})
+func (s *HTTPServer) frameRate(ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) error {
+	ratings, err := frame.DecodeRateBatch(f.Payload, scr.ratings[:0])
+	scr.ratings = ratings[:0]
+	if err != nil {
+		return badRequest("bad rate batch: " + err.Error())
+	}
+	if err := s.rateBatch(ctx, ratings); err != nil {
+		return err
+	}
+	var ob [10]byte
+	cn.WriteFrame(frame.TRateOK, f.Stream, frame.AppendUint(ob[:0], uint64(len(ratings))))
+	return nil
+}
+
+// parkJobPull is the framed twin of handleV1WorkerJob: on its own
+// goroutine, which owns the pull's worker slot (release) for the whole
+// park, it long-polls the staleness queue up to the requested wait
+// (capped like the HTTP path) and answers a TJob whose payload is the
+// exact JSON bytes GET /v1/job?worker=1 would serve — empty when the
+// queue stayed idle. Parked pulls are also bounded per connection and
+// across the server; past either bound the pull sheds like a full
+// class. Only this read loop increments scr.pulls, so the
+// check-then-add is race-free.
+func (s *HTTPServer) parkJobPull(ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch, release func()) error {
+	waitMS, err := frame.DecodeUint(f.Payload)
 	switch {
 	case err != nil:
-		s.sendFrameError(cn, stream, err)
-	case !leased:
-		cn.WriteFrame(frame.TJob, stream, nil)
+		err = badRequest("bad job pull: " + err.Error())
+	case scr.pulls.Load() >= maxConnPullStreams:
+		err = s.shed("too many parked job pulls on this connection")
+	case s.frameStreams.Load() >= maxServerPullStreams:
+		err = s.shed("too many parked job pulls server-wide")
 	}
+	if err != nil {
+		release()
+		return err
+	}
+	scr.pulls.Add(1)
+	s.frameStreams.Add(1)
+	stream := f.Stream
+	go func() {
+		defer s.frameStreams.Add(-1)
+		defer scr.pulls.Add(-1)
+		defer release()
+		ctx, cancel := s.pollWindow(ctx, time.Duration(waitMS)*time.Millisecond)
+		defer cancel()
+		leased, err := s.pullJob(ctx, false, func(body []byte) error {
+			cn.WriteFrame(frame.TJob, stream, body)
+			return nil
+		})
+		if err != nil {
+			sendFrameError(cn, stream, err)
+		} else if !leased {
+			cn.WriteFrame(frame.TJob, stream, nil)
+		}
+	}()
+	return nil
 }
 
 // frameJobGet serves one user's job payload — the framed twin of
 // GET /v1/job?uid=U, carrying the identical JSON bytes.
-func (s *HTTPServer) frameJobGet(ctx context.Context, cn *frame.Conn, stream uint64, u core.UserID) {
-	s.seen.Touch(u)
+func (s *HTTPServer) frameJobGet(ctx context.Context, cn *frame.Conn, f frame.Frame, _ *frameScratch) error {
+	uid, err := frame.DecodeUID(f.Payload)
+	if err != nil {
+		return badRequest("bad job get: " + err.Error())
+	}
+	s.seen.Touch(core.UserID(uid))
 	bufs := wire.GetPayloadBufs()
 	defer wire.PutPayloadBufs(bufs)
-	jsonBody, err := s.svc.AppendJobJSON(ctx, u, bufs.JSON)
+	jsonBody, err := s.svc.AppendJobJSON(ctx, core.UserID(uid), bufs.JSON)
 	if err != nil {
-		s.sendFrameError(cn, stream, err)
-		return
+		return err
 	}
 	bufs.JSON = jsonBody
-	cn.WriteFrame(frame.TJob, stream, jsonBody)
+	cn.WriteFrame(frame.TJob, f.Stream, jsonBody)
+	return nil
 }
 
-// frameAckBatch applies a batched ack. A single-entry batch keeps the
-// HTTP path's typed error surface (unknown_lease and friends); a
-// multi-entry batch reports how many entries applied — a missing lease
-// there is expected turbulence (the scheduler re-issued it), not an
-// error.
-func (s *HTTPServer) frameAckBatch(ctx context.Context, cn *frame.Conn, stream uint64, acks []frame.Ack) {
-	applied := 0
-	for _, a := range acks {
-		err := s.svc.Ack(ctx, a.Lease, a.Done)
-		if err == nil {
-			applied++
-			continue
-		}
-		if len(acks) == 1 {
-			s.sendFrameError(cn, stream, err)
-			return
-		}
+func (s *HTTPServer) frameResult(ctx context.Context, cn *frame.Conn, f frame.Frame, _ *frameScratch) error {
+	res, err := wire.DecodeResult(f.Payload)
+	if err != nil {
+		return badRequest("bad result body: " + err.Error())
+	}
+	recs, err := s.applyResult(ctx, res)
+	if err != nil {
+		return err
+	}
+	buf := wire.GetBuf()
+	out := frame.AppendUint((*buf)[:0], uint64(len(recs)))
+	for _, it := range recs {
+		out = frame.AppendUID(out, uint32(it))
+	}
+	*buf = out
+	cn.WriteFrame(frame.TRecs, f.Stream, out)
+	wire.PutBuf(buf)
+	return nil
+}
+
+// frameAckBatch applies a batched ack, answering how many entries
+// applied (see HTTPServer.ack for the single-entry error surface).
+func (s *HTTPServer) frameAckBatch(ctx context.Context, cn *frame.Conn, f frame.Frame, scr *frameScratch) error {
+	acks, err := frame.DecodeAckBatch(f.Payload, scr.acks[:0])
+	scr.acks = acks[:0]
+	if err != nil {
+		return badRequest("bad ack batch: " + err.Error())
+	}
+	applied, err := s.ack(ctx, acks)
+	if err != nil {
+		return err
 	}
 	var ob [10]byte
-	cn.WriteFrame(frame.TAckOK, stream, frame.AppendUint(ob[:0], uint64(applied)))
+	cn.WriteFrame(frame.TAckOK, f.Stream, frame.AppendUint(ob[:0], uint64(applied)))
+	return nil
 }
 
-// sendFrameError answers a stream with the TError envelope for a
-// service error — same code mapping as the HTTP plane (statusForErr),
-// including the primary-address hint of not_primary rejections.
-func (s *HTTPServer) sendFrameError(cn *frame.Conn, stream uint64, err error) {
-	_, code := statusForErr(err)
-	primary := ""
-	var np *NotPrimaryError
-	if errors.As(err, &np) {
-		primary = np.PrimaryAddr
+func (s *HTTPServer) frameReplicate(ctx context.Context, cn *frame.Conn, f frame.Frame, _ *frameScratch) error {
+	batch, err := frame.DecodeReplBatch(f.Payload)
+	if err != nil {
+		return badRequest("bad replicate batch: " + err.Error())
 	}
-	cn.WriteFrame(frame.TError, stream, frame.AppendError(nil, code, err.Error(), primary, 0))
-}
-
-// sendFrameErrorCode answers a stream with an explicit error code.
-func (s *HTTPServer) sendFrameErrorCode(cn *frame.Conn, stream uint64, code, msg string) {
-	cn.WriteFrame(frame.TError, stream, frame.AppendError(nil, code, msg, "", 0))
-}
-
-// admitFrame acquires an admission slot of class c for a frame on
-// stream, or answers the overloaded TError and reports ok=false — the
-// framed twin of admitHTTP.
-func (s *HTTPServer) admitFrame(ctx context.Context, cn *frame.Conn, stream uint64, c admit.Class) (release func(), ok bool) {
-	release, ok = s.gate.Acquire(ctx, c)
-	if !ok {
-		s.sendFrameOverloaded(cn, stream, c.String()+" queue full")
-		return nil, false
+	if s.node == nil {
+		return badRequest("service does not accept replication")
 	}
-	return release, true
-}
-
-// sendFrameOverloaded answers a stream with the typed shed envelope:
-// the overloaded code plus the retry-after hint in milliseconds — the
-// framed twin of the HTTP plane's 429 + Retry-After.
-func (s *HTTPServer) sendFrameOverloaded(cn *frame.Conn, stream uint64, msg string) {
-	retryMS := uint64(s.gate.RetryAfter() / time.Millisecond)
-	cn.WriteFrame(frame.TError, stream, frame.AppendError(nil, wire.CodeOverloaded, msg, "", retryMS))
+	ack, err := s.node.Replicate(ctx, batch)
+	if err != nil {
+		return err
+	}
+	var ob [20]byte
+	out := frame.AppendUint(ob[:0], uint64(ack.Applied))
+	cn.WriteFrame(frame.TReplOK, f.Stream, frame.AppendUint(out, ack.Seq))
+	return nil
 }

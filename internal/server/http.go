@@ -18,6 +18,7 @@ import (
 
 	"hyrec/internal/admit"
 	"hyrec/internal/core"
+	"hyrec/internal/frame"
 	"hyrec/internal/wire"
 )
 
@@ -116,7 +117,13 @@ func NewServer(b Backend, rotateEvery time.Duration) *HTTPServer {
 		stopRotate:   make(chan struct{}),
 		dispatchCtx:  dispatchCtx,
 		stopDispatch: stopDispatch,
-		gate:         newGate(b.Config()),
+		// With all bounds zero the gate never sheds but still counts
+		// inflight per class.
+		gate: admit.New(admit.Config{
+			MaxRating: b.Config().MaxInflightRating,
+			MaxWorker: b.Config().MaxInflightWorker,
+			MaxRead:   b.Config().MaxInflightRead,
+		}),
 	}
 	s.dir, _ = b.(UserDirectory)
 	s.scaler, _ = b.(Scaler)
@@ -133,18 +140,10 @@ func (s *HTTPServer) Service() Service { return s.svc }
 // leaves the node plane open (see NodeSecretHeader for the trust model).
 func (s *HTTPServer) RequireNodeSecret(secret string) { s.nodeSecret = secret }
 
-// nodePlaneAuthorized checks r against the configured node-plane secret,
-// writing the typed 403 on mismatch.
-func (s *HTTPServer) nodePlaneAuthorized(w http.ResponseWriter, r *http.Request) bool {
-	if s.nodeSecret == "" {
-		return true
-	}
-	got := r.Header.Get(NodeSecretHeader)
-	if subtle.ConstantTimeCompare([]byte(got), []byte(s.nodeSecret)) == 1 {
-		return true
-	}
-	writeV1Error(w, http.StatusForbidden, wire.CodeForbidden, "node-plane secret missing or wrong")
-	return false
+// nodeSecretOK reports whether a node-plane request presented the
+// configured secret (always true when none is configured).
+func (s *HTTPServer) nodeSecretOK(got string) bool {
+	return s.nodeSecret == "" || subtle.ConstantTimeCompare([]byte(got), []byte(s.nodeSecret)) == 1
 }
 
 // Start launches the anonymiser-rotation loop (no-op when rotateEvery ≤ 0).
@@ -182,268 +181,266 @@ func (s *HTTPServer) Close() {
 	s.rotateWG.Wait()
 }
 
+// route is one entry of the HTTP route table. The plane's one wrapper
+// (serveRoutes) checks the method, clears the route's admission class,
+// runs the handler and answers the error it returns in the route's
+// encoding, so a handler holds only its op's decode, call and encode.
+type route struct {
+	method string      // "" accepts any method
+	path   string      // ServeMux pattern
+	class  admit.Class // admission class, or ungated / nodePlane
+	legacy bool        // Table-1 route: errors answer plain text, not the v1 envelope
+	h      func(http.ResponseWriter, *http.Request) error
+	// worker, when set, serves ?worker=1 requests in the Worker class
+	// (the long-poll form of GET /v1/job).
+	worker func(http.ResponseWriter, *http.Request) error
+}
+
 // Handler returns the route table: the legacy Table-1 endpoints plus the
 // versioned /v1 batch protocol.
 func (s *HTTPServer) Handler() http.Handler {
+	const v1 = wire.V1Prefix
+	routes := []route{
+		{path: "/online", class: admit.Read, legacy: true, h: s.handleOnline},
+		{path: "/online/", class: admit.Read, legacy: true, h: s.handleOnline},
+		// Applying a KNN result is worker-class traffic whichever wire
+		// shape (POST body or Table-1 query form) carried it.
+		{method: http.MethodPost, path: "/neighbors", class: admit.Worker, legacy: true, h: s.handleNeighbors},
+		{path: "/neighbors", class: admit.Worker, legacy: true, h: s.handleNeighborsQuery},
+		{method: http.MethodPost, path: "/neighbors/", class: admit.Worker, legacy: true, h: s.handleNeighbors},
+		{path: "/neighbors/", class: admit.Worker, legacy: true, h: s.handleNeighborsQuery},
+		{path: "/rate", class: admit.Rating, legacy: true, h: s.handleRate},
+		{path: "/recommendations", class: admit.Read, legacy: true, h: s.handleRecommendations},
+		{path: "/stats", class: ungated, h: s.handleStats},
+		{path: "/metrics", class: ungated, h: s.handleMetrics},
+		{path: "/healthz", class: ungated, h: s.handleHealthz},
+		{method: http.MethodPost, path: v1 + "/rate", class: admit.Rating, h: s.handleV1Rate},
+		{method: http.MethodGet, path: v1 + "/job", class: admit.Read, h: s.handleV1Job, worker: s.handleV1WorkerJob},
+		{path: wire.WSWorkerPath, class: ungated, h: s.handleV1WorkerWS},
+		{method: http.MethodPost, path: v1 + "/ack", class: admit.Worker, h: s.handleV1Ack},
+		{method: http.MethodPost, path: v1 + "/result", class: admit.Worker, h: s.handleV1Result},
+		{method: http.MethodGet, path: v1 + "/recs", class: admit.Read, h: s.handleV1Recs},
+		{method: http.MethodGet, path: v1 + "/neighbors", class: admit.Read, h: s.handleV1Neighbors},
+		{method: http.MethodGet, path: v1 + "/topology", class: ungated, h: s.handleV1Topology},
+		{method: http.MethodPost, path: v1 + "/topology", class: ungated, h: s.handleV1Scale},
+		{method: http.MethodPost, path: v1 + "/replicate", class: nodePlane, h: s.handleV1Replicate},
+		{method: http.MethodPost, path: v1 + "/nodes", class: nodePlane, h: s.handleV1Nodes},
+	}
+	byPath := map[string][]route{}
+	for _, rt := range routes {
+		byPath[rt.path] = append(byPath[rt.path], rt)
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/online", s.handleOnline)
-	mux.HandleFunc("/online/", s.handleOnline)
-	mux.HandleFunc("/neighbors", s.handleNeighbors)
-	mux.HandleFunc("/neighbors/", s.handleNeighbors)
-	mux.HandleFunc("/rate", s.handleRate)
-	mux.HandleFunc("/recommendations", s.handleRecommendations)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		// Liveness doubles as epoch exchange: peers probing this node
-		// learn which node-map epoch it runs, and repair the difference.
-		if s.node != nil {
-			w.Header().Set(NodeEpochHeader, strconv.FormatUint(s.node.NodeEpoch(), 10))
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc(wire.V1Prefix+"/rate", s.handleV1Rate)
-	mux.HandleFunc(wire.V1Prefix+"/job", s.handleV1Job)
-	mux.HandleFunc(wire.WSWorkerPath, s.handleV1WorkerWS)
-	mux.HandleFunc(wire.V1Prefix+"/ack", s.handleV1Ack)
-	mux.HandleFunc(wire.V1Prefix+"/result", s.handleV1Result)
-	mux.HandleFunc(wire.V1Prefix+"/recs", s.handleV1Recs)
-	mux.HandleFunc(wire.V1Prefix+"/neighbors", s.handleV1Neighbors)
-	mux.HandleFunc(wire.V1Prefix+"/topology", s.handleV1Topology)
-	mux.HandleFunc(wire.V1Prefix+"/replicate", s.handleV1Replicate)
-	mux.HandleFunc(wire.V1Prefix+"/nodes", s.handleV1Nodes)
-	// Node-forwarded requests are marked in the context so a service can
-	// refuse to proxy them a second time (loop guard; see ForwardedHeader).
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	for path, rts := range byPath {
+		mux.HandleFunc(path, s.serveRoutes(rts))
+	}
+	return mux
+}
+
+// serveRoutes is the HTTP plane's wrapper around the routes of one path.
+// Errors answer plain text on Table-1 routes and the v1 envelope
+// everywhere else — sheds included, on every route.
+func (s *HTTPServer) serveRoutes(rts []route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		// Node-forwarded requests are marked in the context so a service
+		// can refuse to proxy them a second time (loop guard; see
+		// ForwardedHeader).
 		if r.Header.Get(ForwardedHeader) != "" {
 			r = r.WithContext(WithForwarded(r.Context()))
 		}
-		mux.ServeHTTP(w, r)
-	})
+		if err := s.serveRoute(w, r, rts); err != nil {
+			if rts[0].legacy && !errors.As(err, new(*shedError)) {
+				writeLegacyError(w, err)
+			} else {
+				writeV1Error(w, err)
+			}
+		}
+	}
+}
+
+// serveRoute picks the route for r's method, checks the node-plane
+// secret or takes an admission slot (held until the handler returns,
+// including a worker long-poll's whole park), and runs the handler.
+func (s *HTTPServer) serveRoute(w http.ResponseWriter, r *http.Request, rts []route) error {
+	for _, rt := range rts {
+		if rt.method != "" && rt.method != r.Method {
+			continue
+		}
+		h, class := rt.h, rt.class
+		if rt.worker != nil && isWorker(r) {
+			h, class = rt.worker, admit.Worker
+		}
+		switch class {
+		case ungated:
+		case nodePlane:
+			if !s.nodeSecretOK(r.Header.Get(NodeSecretHeader)) {
+				return errNodeSecret
+			}
+		default:
+			release, err := s.acquire(r.Context(), class)
+			if err != nil {
+				return err
+			}
+			defer release()
+		}
+		return h(w, r)
+	}
+	methods := make([]string, len(rts))
+	for i, rt := range rts {
+		methods[i] = rt.method
+	}
+	return &requestError{wire.CodeMethodNotAllowed, strings.Join(methods, " or ") + " required"}
+}
+
+// decodeBody reads r's body, at most limit bytes, and decodes it. A
+// failure is a bad request "bad <what> body: …"; when sized, an
+// over-limit body or a decoder's ErrTooLarge answers 413 too_large.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, limit int64, what string, sized bool, decode func([]byte) (T, error)) (T, error) {
+	var v T
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		v, err = decode(body)
+	} else if sized && errors.As(err, new(*http.MaxBytesError)) {
+		return v, &requestError{wire.CodeTooLarge, fmt.Sprintf("body exceeds %d bytes", limit)}
+	}
+	switch {
+	case err == nil:
+		return v, nil
+	case sized && errors.Is(err, wire.ErrTooLarge):
+		return v, &requestError{wire.CodeTooLarge, err.Error()}
+	default:
+		return v, badRequest("bad " + what + " body: " + err.Error())
+	}
+}
+
+// handleHealthz is liveness, doubling as epoch exchange: peers probing
+// this node learn which node-map epoch it runs, and repair the
+// difference.
+func (s *HTTPServer) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
+	if s.node != nil {
+		w.Header().Set(NodeEpochHeader, strconv.FormatUint(s.node.NodeEpoch(), 10))
+	}
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintln(w, "ok")
+	return nil
 }
 
 // handleV1Replicate serves POST /v1/replicate: a primary's replication
 // batch for a partition this node mirrors (or owns, during a handoff).
-func (s *HTTPServer) handleV1Replicate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	if !s.nodePlaneAuthorized(w, r) {
-		return
-	}
+func (s *HTTPServer) handleV1Replicate(w http.ResponseWriter, r *http.Request) error {
 	if s.node == nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service does not accept replication")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxReplBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", wire.MaxReplBodyBytes))
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad replicate body: "+err.Error())
-		return
+		return badRequest("service does not accept replication")
 	}
 	// DecodeReplBatch is the fuzzed production decoder (FuzzDecodeReplBatch).
-	batch, err := wire.DecodeReplBatch(body)
+	batch, err := decodeBody(w, r, wire.MaxReplBodyBytes, "replicate", true, wire.DecodeReplBatch)
 	if err != nil {
-		if errors.Is(err, wire.ErrTooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge, err.Error())
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad replicate body: "+err.Error())
-		return
+		return err
 	}
 	ack, err := s.node.Replicate(r.Context(), batch)
 	if err != nil {
-		writeV1ServiceError(w, err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, ack)
+	return replyJSON(w, http.StatusOK, ack)
 }
 
 // handleV1Nodes serves POST /v1/nodes: the failover coordinator's node
 // map push. Stale epochs are ignored by the sink, not an error.
-func (s *HTTPServer) handleV1Nodes(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	if !s.nodePlaneAuthorized(w, r) {
-		return
-	}
+func (s *HTTPServer) handleV1Nodes(w http.ResponseWriter, r *http.Request) error {
 	if s.node == nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service does not accept node maps")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad node map body: "+err.Error())
-		return
+		return badRequest("service does not accept node maps")
 	}
 	// DecodeNodeMap is the fuzzed production decoder (FuzzDecodeNodeMap).
-	nm, err := wire.DecodeNodeMap(body)
+	nm, err := decodeBody(w, r, wire.MaxBodyBytes, "node map", false, wire.DecodeNodeMap)
 	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad node map body: "+err.Error())
-		return
+		return err
 	}
 	if err := s.node.ApplyNodeMap(r.Context(), nm); err != nil {
-		writeV1ServiceError(w, err)
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, wire.AckResponse{Status: "ok"})
+	return replyJSON(w, http.StatusOK, wire.AckResponse{Status: "ok"})
 }
 
 // ---- legacy Table-1 endpoints ----
 
-func (s *HTTPServer) handleOnline(w http.ResponseWriter, r *http.Request) {
-	// Read class even when a rating piggybacks: the job assembly
-	// dominates the request's cost.
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !known {
-		// First visit without identification: mint an ID and hand it to
-		// the browser as a cookie (Section 4.2).
-		uid, err = s.mintUser()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		SetUIDCookie(w, uid)
-	}
-	s.seen.Touch(uid)
-	// The widget may piggyback the rating that triggered the request.
-	if itemStr := r.URL.Query().Get("item"); itemStr != "" {
-		item, liked, err := rateParams(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.svc.Rate(r.Context(), uid, item, liked); err != nil {
-			writeLegacyError(w, err)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.writeJob(w, r.Context(), uid, true); err != nil {
-		writeLegacyError(w, err)
-	}
+// handleOnline serves the legacy job route. It is Read class even when
+// a rating piggybacks: the job assembly dominates the request's cost.
+func (s *HTTPServer) handleOnline(w http.ResponseWriter, r *http.Request) error {
+	return s.serveJob(w, r, true)
 }
 
-func (s *HTTPServer) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	// Applying a KNN result is worker-class traffic regardless of which
-	// wire shape (POST body or Table-1 query form) carried it.
-	release, admitted := s.admitHTTP(w, r, admit.Worker)
-	if !admitted {
-		return
-	}
-	defer release()
+// handleNeighbors applies a KNN result posted as a JSON body.
+func (s *HTTPServer) handleNeighbors(w http.ResponseWriter, r *http.Request) error {
 	var res wire.Result
-	switch r.Method {
-	case http.MethodPost:
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&res); err != nil {
-			http.Error(w, fmt.Sprintf("bad result body: %v", err), http.StatusBadRequest)
-			return
-		}
-	default:
-		// Query form per Table 1: ?uid=U&epoch=E&id0=..&id1=..
-		q := r.URL.Query()
-		uid64, err := strconv.ParseUint(q.Get("uid"), 10, 32)
-		if err != nil {
-			http.Error(w, "bad uid", http.StatusBadRequest)
-			return
-		}
-		epoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
-		res = wire.Result{UID: uint32(uid64), Epoch: epoch}
-		for i := 0; ; i++ {
-			v := q.Get("id" + strconv.Itoa(i))
-			if v == "" {
-				break
-			}
-			id64, err := strconv.ParseUint(v, 10, 32)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad id%d", i), http.StatusBadRequest)
-				return
-			}
-			res.Neighbors = append(res.Neighbors, uint32(id64))
-		}
-		for _, v := range strings.Split(q.Get("recs"), ",") {
-			if v == "" {
-				continue
-			}
-			id64, err := strconv.ParseUint(v, 10, 32)
-			if err != nil {
-				http.Error(w, "bad recs", http.StatusBadRequest)
-				return
-			}
-			res.Recommendations = append(res.Recommendations, uint32(id64))
-		}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&res); err != nil {
+		return badRequest(fmt.Sprintf("bad result body: %v", err))
 	}
-
-	if _, err := s.svc.ApplyResult(r.Context(), &res); err != nil {
-		writeLegacyError(w, err)
-		return
-	}
-	s.touchResult(&res)
-	w.WriteHeader(http.StatusNoContent)
+	return s.legacyResult(w, r, &res)
 }
 
-func (s *HTTPServer) handleRate(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admitHTTP(w, r, admit.Rating)
-	if !ok {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil || !known {
-		http.Error(w, errOrMissing(err), http.StatusBadRequest)
-		return
-	}
-	item, liked, err := rateParams(r)
+// handleNeighborsQuery applies a KNN result in Table 1's query form:
+// ?uid=U&epoch=E&id0=..&id1=..&recs=a,b.
+func (s *HTTPServer) handleNeighborsQuery(w http.ResponseWriter, r *http.Request) error {
+	q := r.URL.Query()
+	uid64, err := strconv.ParseUint(q.Get("uid"), 10, 32)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return badRequest("bad uid")
 	}
-	s.seen.Touch(uid)
-	if err := s.svc.Rate(r.Context(), uid, item, liked); err != nil {
-		writeLegacyError(w, err)
-		return
+	epoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
+	res := wire.Result{UID: uint32(uid64), Epoch: epoch}
+	for i := 0; ; i++ {
+		v := q.Get("id" + strconv.Itoa(i))
+		if v == "" {
+			break
+		}
+		id64, err := strconv.ParseUint(v, 10, 32)
+		if err != nil {
+			return badRequest(fmt.Sprintf("bad id%d", i))
+		}
+		res.Neighbors = append(res.Neighbors, uint32(id64))
 	}
-	w.WriteHeader(http.StatusNoContent)
+	for _, v := range strings.Split(q.Get("recs"), ",") {
+		if v == "" {
+			continue
+		}
+		id64, err := strconv.ParseUint(v, 10, 32)
+		if err != nil {
+			return badRequest("bad recs")
+		}
+		res.Recommendations = append(res.Recommendations, uint32(id64))
+	}
+	return s.legacyResult(w, r, &res)
 }
 
-func (s *HTTPServer) handleRecommendations(w http.ResponseWriter, r *http.Request) {
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
+func (s *HTTPServer) legacyResult(w http.ResponseWriter, r *http.Request, res *wire.Result) error {
+	if _, err := s.applyResult(r.Context(), res); err != nil {
+		return err
 	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil || !known {
-		http.Error(w, errOrMissing(err), http.StatusBadRequest)
-		return
+	w.WriteHeader(http.StatusNoContent)
+	return nil
+}
+
+func (s *HTTPServer) handleRate(w http.ResponseWriter, r *http.Request) error {
+	uid, err := s.requester(w, r, false)
+	if err != nil {
+		return err
+	}
+	if err := s.rateQuery(r, uid); err != nil {
+		return err
+	}
+	w.WriteHeader(http.StatusNoContent)
+	return nil
+}
+
+func (s *HTTPServer) handleRecommendations(w http.ResponseWriter, r *http.Request) error {
+	uid, err := s.requester(w, r, false)
+	if err != nil {
+		return err
 	}
 	recs, err := s.svc.Recommendations(r.Context(), uid, 0)
 	if err != nil {
-		writeLegacyError(w, err)
-		return
+		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(recs); err != nil {
-		return
-	}
+	return replyJSON(w, http.StatusOK, recs)
 }
 
 // stats assembles the counters /stats and /metrics both serve: the
@@ -461,11 +458,8 @@ func (s *HTTPServer) stats() map[string]any {
 	return stats
 }
 
-func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.stats()); err != nil {
-		return
-	}
+func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) error {
+	return replyJSON(w, http.StatusOK, s.stats())
 }
 
 // handleMetrics serves GET /metrics: the same counters as /stats in
@@ -474,7 +468,7 @@ func (s *HTTPServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 // alias lets a scrape target consume the deployment without a JSON
 // exporter sidecar. Keys ending in _total are typed counter, every
 // other key gauge.
-func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	stats := s.stats()
 	topo := s.svc.Topology()
 	stats["topology_partitions"] = int64(topo.Partitions)
@@ -493,12 +487,8 @@ func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			typ = "counter"
 		}
 		switch v := stats[k].(type) {
-		case int:
-			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, typ, name, v)
-		case int64:
-			fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", name, typ, name, v)
-		case float64:
-			fmt.Fprintf(w, "# TYPE %s %s\n%s %g\n", name, typ, name, v)
+		case int, int64, float64:
+			fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", name, typ, name, v)
 		case bool:
 			b := 0
 			if v {
@@ -512,108 +502,71 @@ func (s *HTTPServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	}
+	return nil
 }
 
-// handleV1Topology serves the admin topology endpoint: GET reports the
-// current shape (partition count, ring parameter, migration status);
-// POST triggers a live resharding to the requested partition count and
-// returns the resulting topology once the migration has completed.
-func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		topo := s.svc.Topology()
-		// ?uid=U additionally resolves the node serving that user's
-		// partition as primary, when the service knows the node map.
-		if raw := r.URL.Query().Get("uid"); raw != "" {
-			if s.node == nil {
-				writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service cannot locate users by node")
-				return
-			}
-			uid64, err := strconv.ParseUint(raw, 10, 32)
-			if err != nil {
-				writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad uid %q", raw))
-				return
-			}
-			if ref, ok := s.node.LocateUser(core.UserID(uid64)); ok {
-				topo.Owner = &ref
-			}
+// handleV1Topology serves GET /v1/topology: the current shape (partition
+// count, ring parameter, migration status). ?uid=U additionally resolves
+// the node serving that user's partition as primary, when the service
+// knows the node map.
+func (s *HTTPServer) handleV1Topology(w http.ResponseWriter, r *http.Request) error {
+	topo := s.svc.Topology()
+	if raw := r.URL.Query().Get("uid"); raw != "" {
+		if s.node == nil {
+			return badRequest("service cannot locate users by node")
 		}
-		writeJSON(w, http.StatusOK, topo)
-	case http.MethodPost:
-		if s.scaler == nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "service is not elastic (single engine?)")
-			return
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+		uid64, err := strconv.ParseUint(raw, 10, 32)
 		if err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad scale body: "+err.Error())
-			return
+			return badRequest(fmt.Sprintf("bad uid %q", raw))
 		}
-		var req wire.ScaleRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad scale body: "+err.Error())
-			return
+		if ref, ok := s.node.LocateUser(core.UserID(uid64)); ok {
+			topo.Owner = &ref
 		}
-		if req.Partitions < 1 {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest,
-				fmt.Sprintf("partitions must be >= 1, got %d", req.Partitions))
-			return
-		}
-		if err := s.scaler.Scale(r.Context(), req.Partitions); err != nil {
-			writeV1ServiceError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.svc.Topology())
-	default:
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET or POST required")
 	}
+	return replyJSON(w, http.StatusOK, topo)
+}
+
+// handleV1Scale serves POST /v1/topology: a live resharding to the
+// requested partition count, answering the resulting topology once the
+// migration has completed.
+func (s *HTTPServer) handleV1Scale(w http.ResponseWriter, r *http.Request) error {
+	if s.scaler == nil {
+		return badRequest("service is not elastic (single engine?)")
+	}
+	req, err := decodeBody(w, r, wire.MaxBodyBytes, "scale", false, func(body []byte) (*wire.ScaleRequest, error) {
+		req := new(wire.ScaleRequest)
+		return req, json.Unmarshal(body, req)
+	})
+	if err != nil {
+		return err
+	}
+	if req.Partitions < 1 {
+		return badRequest(fmt.Sprintf("partitions must be >= 1, got %d", req.Partitions))
+	}
+	if err := s.scaler.Scale(r.Context(), req.Partitions); err != nil {
+		return err
+	}
+	return replyJSON(w, http.StatusOK, s.svc.Topology())
 }
 
 // ---- /v1 batch protocol ----
 
-func (s *HTTPServer) handleV1Rate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	release, ok := s.admitHTTP(w, r, admit.Rating)
-	if !ok {
-		return
-	}
-	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", wire.MaxBodyBytes))
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad rate body: "+err.Error())
-		return
-	}
+func (s *HTTPServer) handleV1Rate(w http.ResponseWriter, r *http.Request) error {
 	// DecodeRateRequest is the fuzzed production decoder
 	// (FuzzDecodeRateBatch): malformed or oversized input yields a typed
 	// error, never a panic or a silently truncated batch.
-	req, err := wire.DecodeRateRequest(body)
+	req, err := decodeBody(w, r, wire.MaxBodyBytes, "rate", true, wire.DecodeRateRequest)
 	if err != nil {
-		if errors.Is(err, wire.ErrTooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge, err.Error())
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad rate body: "+err.Error())
-		return
+		return err
 	}
 	ratings := make([]core.Rating, len(req.Ratings))
 	for i, m := range req.Ratings {
 		ratings[i] = core.Rating{User: core.UserID(m.UID), Item: core.ItemID(m.Item), Liked: m.Liked}
-		s.seen.Touch(ratings[i].User)
 	}
-	if err := s.svc.RateBatch(r.Context(), ratings); err != nil {
-		writeV1ServiceError(w, err)
-		return
+	if err := s.rateBatch(r.Context(), ratings); err != nil {
+		return err
 	}
-	writeJSON(w, http.StatusOK, wire.RateResponse{Accepted: len(ratings)})
+	return replyJSON(w, http.StatusOK, wire.RateResponse{Accepted: len(ratings)})
 }
 
 // maxWorkerWait caps the /v1/job?worker=1 long-poll so a parked worker
@@ -684,69 +637,68 @@ func (s *HTTPServer) pullJob(ctx context.Context, gzipOK bool, send func(body []
 	return true, nil
 }
 
-func (s *HTTPServer) handleV1Job(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET required")
-		return
-	}
-	if isWorker(r) {
-		s.handleV1WorkerJob(w, r)
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
+func (s *HTTPServer) handleV1Job(w http.ResponseWriter, r *http.Request) error {
+	return s.serveJob(w, r, false)
+}
+
+// serveJob serves the requester's personalization job from pooled
+// buffers, so a steady-state request borrows every buffer it touches.
+// GET /v1/job negotiates gzip; the legacy /online always gzips, exactly
+// as the paper's Jetty deployment serves it, and records the rating the
+// widget may piggyback on the request.
+func (s *HTTPServer) serveJob(w http.ResponseWriter, r *http.Request, legacy bool) error {
+	uid, err := s.requester(w, r, true)
 	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
-	}
-	if !known {
-		uid, err = s.mintUser()
-		if err != nil {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-			return
-		}
-		SetUIDCookie(w, uid)
+		return err
 	}
 	s.seen.Touch(uid)
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.writeJob(w, r.Context(), uid, acceptsGzip(r)); err != nil {
-		writeV1ServiceError(w, err)
-		return
+	if legacy && r.URL.Query().Get("item") != "" {
+		if err := s.rateQuery(r, uid); err != nil {
+			return err
+		}
 	}
+	bufs := wire.GetPayloadBufs()
+	defer wire.PutPayloadBufs(bufs)
+	jsonBody, gzBody, err := s.svc.AppendJobPayload(r.Context(), uid, bufs.JSON, bufs.Gz)
+	if err != nil {
+		return err
+	}
+	// Keep the grown capacity pooled for the next request.
+	bufs.JSON, bufs.Gz = jsonBody, gzBody
+	if legacy || acceptsGzip(r) {
+		return writeJobBody(w, gzBody, true)
+	}
+	return writeJobBody(w, jsonBody, false)
+}
+
+// writeJobBody answers a serialized job, announcing its encoding and
+// length.
+func writeJobBody(w http.ResponseWriter, body []byte, gzipped bool) error {
+	w.Header().Set("Content-Type", "application/json")
+	if gzipped {
+		w.Header().Set("Content-Encoding", "gzip")
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+	return nil
 }
 
 // isWorker reports whether a /v1/job request is a pull-based worker
 // dispatch rather than a user-driven job request.
 func isWorker(r *http.Request) bool {
-	v := r.URL.Query().Get("worker")
-	if v == "" {
-		return false
-	}
-	b, err := strconv.ParseBool(v)
+	b, err := strconv.ParseBool(r.URL.Query().Get("worker"))
 	return err == nil && b
 }
 
 // handleV1WorkerJob serves GET /v1/job?worker=1[&wait=D]: the next
 // leased job from the staleness queue, long-polling up to `wait`
 // (capped) and answering 204 No Content when the queue stays empty.
-func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
-	// A parked long-poll holds its worker slot for the whole park: parked
-	// polls are exactly the held capacity the worker bound meters.
-	release, admitted := s.admitHTTP(w, r, admit.Worker)
-	if !admitted {
-		return
-	}
-	defer release()
+func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) error {
 	wait := time.Duration(0)
 	if raw := r.URL.Query().Get("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad wait %q", raw))
-			return
+			return badRequest(fmt.Sprintf("bad wait %q", raw))
 		}
 		wait = d
 	}
@@ -754,240 +706,72 @@ func (s *HTTPServer) handleV1WorkerJob(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	gzipOK := acceptsGzip(r)
 	leased, err := s.pullJob(ctx, gzipOK, func(body []byte) error {
-		w.Header().Set("Content-Type", "application/json")
-		if gzipOK {
-			w.Header().Set("Content-Encoding", "gzip")
-		}
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.Write(body)
-		return nil
+		return writeJobBody(w, body, gzipOK)
 	})
-	switch {
-	case err != nil:
-		writeV1ServiceError(w, err)
-	case !leased:
+	if err == nil && !leased {
 		w.WriteHeader(http.StatusNoContent)
 	}
+	return err
 }
 
 // handleV1Ack serves POST /v1/ack: complete (done=true) or abandon
 // (done=false) a lease without posting a result.
-func (s *HTTPServer) handleV1Ack(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Worker)
-	if !admitted {
-		return
-	}
-	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad ack body: "+err.Error())
-		return
-	}
+func (s *HTTPServer) handleV1Ack(w http.ResponseWriter, r *http.Request) error {
 	// DecodeAck is the fuzzed production decoder (FuzzDecodeAck).
-	req, err := wire.DecodeAck(body)
+	req, err := decodeBody(w, r, wire.MaxBodyBytes, "ack", false, wire.DecodeAck)
 	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad ack body: "+err.Error())
-		return
+		return err
 	}
-	if err := s.svc.Ack(r.Context(), req.Lease, req.Done); err != nil {
-		writeV1ServiceError(w, err)
-		return
+	if _, err := s.ack(r.Context(), []frame.Ack{{Lease: req.Lease, Done: req.Done}}); err != nil {
+		return err
 	}
-	writeJSON(w, http.StatusOK, wire.AckResponse{Status: "ok"})
+	return replyJSON(w, http.StatusOK, wire.AckResponse{Status: "ok"})
 }
 
-func (s *HTTPServer) handleV1Result(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "POST required")
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Worker)
-	if !admitted {
-		return
-	}
-	defer release()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, wire.CodeTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", wire.MaxBodyBytes))
-			return
-		}
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad result body: "+err.Error())
-		return
-	}
+func (s *HTTPServer) handleV1Result(w http.ResponseWriter, r *http.Request) error {
 	// DecodeResult is the fuzzed production decoder (FuzzDecodeResult).
-	res, err := wire.DecodeResult(body)
+	res, err := decodeBody(w, r, wire.MaxBodyBytes, "result", true, wire.DecodeResult)
 	if err != nil {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, "bad result body: "+err.Error())
-		return
+		return err
 	}
-	recs, err := s.svc.ApplyResult(r.Context(), res)
+	recs, err := s.applyResult(r.Context(), res)
 	if err != nil {
-		writeV1ServiceError(w, err)
-		return
+		return err
 	}
-	s.touchResult(res)
-	out := wire.RecsResponse{Recs: make([]uint32, len(recs))}
-	for i, it := range recs {
-		out.Recs[i] = uint32(it)
-	}
-	writeJSON(w, http.StatusOK, out)
+	return replyJSON(w, http.StatusOK, wire.RecsResponse{Recs: ids32(recs)})
 }
 
-func (s *HTTPServer) handleV1Recs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET required")
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil || !known {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, errOrMissing(err))
-		return
+func (s *HTTPServer) handleV1Recs(w http.ResponseWriter, r *http.Request) error {
+	uid, err := s.requester(w, r, false)
+	if err != nil {
+		return err
 	}
 	n := 0
 	if raw := r.URL.Query().Get("n"); raw != "" {
-		n, err = strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf("bad n %q", raw))
-			return
+		if n, err = strconv.Atoi(raw); err != nil || n < 0 {
+			return badRequest(fmt.Sprintf("bad n %q", raw))
 		}
 	}
 	recs, err := s.svc.Recommendations(r.Context(), uid, n)
 	if err != nil {
-		writeV1ServiceError(w, err)
-		return
+		return err
 	}
-	out := wire.RecsResponse{Recs: make([]uint32, len(recs))}
-	for i, it := range recs {
-		out.Recs[i] = uint32(it)
-	}
-	writeJSON(w, http.StatusOK, out)
+	return replyJSON(w, http.StatusOK, wire.RecsResponse{Recs: ids32(recs)})
 }
 
-func (s *HTTPServer) handleV1Neighbors(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeV1Error(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "GET required")
-		return
-	}
-	release, admitted := s.admitHTTP(w, r, admit.Read)
-	if !admitted {
-		return
-	}
-	defer release()
-	uid, known, err := UIDFromRequest(r)
-	if err != nil || !known {
-		writeV1Error(w, http.StatusBadRequest, wire.CodeBadRequest, errOrMissing(err))
-		return
-	}
-	hood, err := s.svc.Neighbors(r.Context(), uid)
-	if err != nil {
-		writeV1ServiceError(w, err)
-		return
-	}
-	out := wire.NeighborsResponse{Neighbors: make([]uint32, len(hood))}
-	for i, v := range hood {
-		out.Neighbors[i] = uint32(v)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// ---- shared plumbing ----
-
-// writeJob serves u's serialized job body (headers beyond Content-Type
-// are set here) from pooled buffers, so a steady-state request borrows
-// every buffer it touches. Nothing has been written to w when an error
-// is returned.
-func (s *HTTPServer) writeJob(w http.ResponseWriter, ctx context.Context, u core.UserID, gzipOK bool) error {
-	bufs := wire.GetPayloadBufs()
-	defer wire.PutPayloadBufs(bufs)
-	jsonBody, gzBody, err := s.svc.AppendJobPayload(ctx, u, bufs.JSON, bufs.Gz)
+func (s *HTTPServer) handleV1Neighbors(w http.ResponseWriter, r *http.Request) error {
+	uid, err := s.requester(w, r, false)
 	if err != nil {
 		return err
 	}
-	// Keep the grown capacity pooled for the next request.
-	bufs.JSON, bufs.Gz = jsonBody, gzBody
-	body := jsonBody
-	if gzipOK {
-		w.Header().Set("Content-Encoding", "gzip")
-		body = gzBody
+	hood, err := s.svc.Neighbors(r.Context(), uid)
+	if err != nil {
+		return err
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body)
-	return nil
+	return replyJSON(w, http.StatusOK, wire.NeighborsResponse{Neighbors: ids32(hood)})
 }
 
-// touchResult records presence for the real user behind an applied
-// result.
-func (s *HTTPServer) touchResult(res *wire.Result) {
-	if u, ok := s.svc.ResolveUser(core.UserID(res.UID), res.Epoch); ok {
-		s.seen.Touch(u)
-	}
-}
-
-// statusForErr maps a Service error to an HTTP status and v1 error code.
-func statusForErr(err error) (int, string) {
-	switch {
-	case errors.Is(err, ErrStaleEpoch):
-		return http.StatusGone, wire.CodeStaleEpoch
-	case errors.Is(err, ErrUnknownUser):
-		return http.StatusNotFound, wire.CodeUnknownUser
-	case errors.Is(err, ErrUnknownLease):
-		return http.StatusNotFound, wire.CodeUnknownLease
-	case errors.Is(err, ErrNotPrimary):
-		// The not_primary rejection shares CodeMoved's 421 family: the
-		// client refreshes its topology and retries once against the
-		// primary the envelope names.
-		return http.StatusMisdirectedRequest, wire.CodeNotPrimary
-	case errors.Is(err, ErrMoved):
-		return http.StatusMisdirectedRequest, wire.CodeMoved
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests, wire.CodeOverloaded
-	default:
-		return http.StatusInternalServerError, wire.CodeInternal
-	}
-}
-
-// writeLegacyError answers a Table-1 endpoint's service error as plain
-// text, under the same status mapping as the /v1 envelopes.
-func writeLegacyError(w http.ResponseWriter, err error) {
-	status, _ := statusForErr(err)
-	http.Error(w, err.Error(), status)
-}
-
-func writeV1ServiceError(w http.ResponseWriter, err error) {
-	status, code := statusForErr(err)
-	var np *NotPrimaryError
-	if errors.As(err, &np) && np.PrimaryAddr != "" {
-		writeJSON(w, status, wire.ErrorEnvelope{Error: wire.ErrorBody{
-			Code: code, Message: err.Error(), Primary: np.PrimaryAddr,
-		}})
-		return
-	}
-	writeV1Error(w, status, code, err.Error())
-}
-
-func writeV1Error(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, wire.ErrorEnvelope{Error: wire.ErrorBody{Code: code, Message: msg}})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return
-	}
-}
+// ---- shared plumbing ----
 
 // acceptsGzip reports whether the request negotiates gzip encoding.
 func acceptsGzip(r *http.Request) bool {
@@ -1008,21 +792,19 @@ func acceptsGzip(r *http.Request) bool {
 // when the request carries neither. Shared by every endpoint so legacy
 // and /v1 identification stay protocol-identical.
 func UIDFromRequest(r *http.Request) (uid core.UserID, known bool, err error) {
-	if raw := r.URL.Query().Get("uid"); raw != "" {
-		uid64, err := strconv.ParseUint(raw, 10, 32)
+	raw, what := r.URL.Query().Get("uid"), "uid"
+	if raw == "" {
+		c, err := r.Cookie(UIDCookieName)
 		if err != nil {
-			return 0, false, fmt.Errorf("bad uid %q", raw)
+			return 0, false, nil
 		}
-		return core.UserID(uid64), true, nil
+		raw, what = c.Value, UIDCookieName+" cookie"
 	}
-	if c, err := r.Cookie(UIDCookieName); err == nil {
-		uid64, err := strconv.ParseUint(c.Value, 10, 32)
-		if err != nil {
-			return 0, false, fmt.Errorf("bad %s cookie %q", UIDCookieName, c.Value)
-		}
-		return core.UserID(uid64), true, nil
+	uid64, err := strconv.ParseUint(raw, 10, 32)
+	if err != nil {
+		return 0, false, fmt.Errorf("bad %s %q", what, raw)
 	}
-	return 0, false, nil
+	return core.UserID(uid64), true, nil
 }
 
 // SetUIDCookie hands uid to the browser as the identification cookie —
@@ -1037,12 +819,33 @@ func SetUIDCookie(w http.ResponseWriter, uid core.UserID) {
 	})
 }
 
+// requester resolves the requesting user (UIDFromRequest). A job route
+// (mint) meets a first visit without identification by minting a user
+// and handing the browser the cookie (Section 4.2); other routes
+// answer 400.
+func (s *HTTPServer) requester(w http.ResponseWriter, r *http.Request, mint bool) (core.UserID, error) {
+	uid, known, err := UIDFromRequest(r)
+	switch {
+	case err != nil:
+		return 0, badRequest(err.Error())
+	case known:
+		return uid, nil
+	case !mint:
+		return 0, badRequest("missing uid (no ?uid parameter or " + UIDCookieName + " cookie)")
+	}
+	if uid, err = s.mintUser(); err != nil {
+		return 0, err
+	}
+	SetUIDCookie(w, uid)
+	return uid, nil
+}
+
 // mintUser allocates an unused user ID and registers it so concurrent
 // mints cannot collide. It fails when the backend has no user directory
 // (a Node).
 func (s *HTTPServer) mintUser() (core.UserID, error) {
 	if s.dir == nil {
-		return 0, errors.New("service cannot mint users; supply ?uid or the " + UIDCookieName + " cookie")
+		return 0, badRequest("service cannot mint users; supply ?uid or the " + UIDCookieName + " cookie")
 	}
 	s.mintMu.Lock()
 	defer s.mintMu.Unlock()
@@ -1056,26 +859,20 @@ func (s *HTTPServer) mintUser() (core.UserID, error) {
 	}
 }
 
-// errOrMissing renders a uid-resolution failure for a 400 response.
-func errOrMissing(err error) string {
-	if err != nil {
-		return err.Error()
-	}
-	return "missing uid (no ?uid parameter or " + UIDCookieName + " cookie)"
-}
-
-func rateParams(r *http.Request) (core.ItemID, bool, error) {
+// rateQuery records the rating a Table-1 request carries for uid
+// (?item=I&liked=B, liked defaulting to true) and marks uid present.
+func (s *HTTPServer) rateQuery(r *http.Request, uid core.UserID) error {
 	q := r.URL.Query()
 	item64, err := strconv.ParseUint(q.Get("item"), 10, 32)
 	if err != nil {
-		return 0, false, fmt.Errorf("bad item %q", q.Get("item"))
+		return badRequest(fmt.Sprintf("bad item %q", q.Get("item")))
 	}
 	liked := true
 	if v := q.Get("liked"); v != "" {
-		liked, err = strconv.ParseBool(v)
-		if err != nil {
-			return 0, false, fmt.Errorf("bad liked %q", v)
+		if liked, err = strconv.ParseBool(v); err != nil {
+			return badRequest(fmt.Sprintf("bad liked %q", v))
 		}
 	}
-	return core.ItemID(item64), liked, nil
+	s.seen.Touch(uid)
+	return s.svc.Rate(r.Context(), uid, core.ItemID(item64), liked)
 }

@@ -2,12 +2,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"hyrec/internal/frame"
 	"hyrec/internal/wire"
 	"hyrec/internal/ws"
 )
@@ -30,11 +29,11 @@ var wsWriteGrace = 30 * time.Second
 // back results and acks, and ping/pong keepalive polices liveness. The
 // long-poll /v1/job?worker=1 endpoint remains the compatibility surface
 // for clients that cannot hold a socket.
-func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
+func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) error {
 	conn, err := ws.Upgrade(w, r, wire.MaxBodyBytes)
 	if err != nil {
-		// Upgrade already answered the request.
-		return
+		// The handshake already answered the request.
+		return nil
 	}
 	conn.SetWriteGrace(wsWriteGrace)
 	s.wsWorkers.Add(1)
@@ -81,7 +80,7 @@ func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
 			return writeErr
 		})
 		if err != nil {
-			s.wsSendError(conn, err)
+			wsSendError(conn, err)
 			break
 		}
 		if !leased || writeErr != nil { // session over
@@ -92,70 +91,48 @@ func (s *HTTPServer) handleV1WorkerWS(w http.ResponseWriter, r *http.Request) {
 	// Graceful goodbye for the cases where the session ended server-side
 	// (shutdown, dispatch error); a no-op if the worker closed first.
 	conn.WriteClose(ws.CloseGoingAway, "")
+	return nil
 }
 
-// readWorkerSocket drains worker→server messages until the socket ends.
+// readWorkerSocket drains worker→server messages until the socket ends,
+// answering each failed result or ack with an error frame.
 func (s *HTTPServer) readWorkerSocket(ctx context.Context, conn *ws.Conn, sess *wsSession) {
 	for {
-		_, frame, err := conn.ReadMessage()
+		_, raw, err := conn.ReadMessage()
 		if err != nil {
 			return
 		}
-		msg, err := wire.DecodeWSClientMsg(frame)
+		msg, err := wire.DecodeWSClientMsg(raw)
 		if err != nil {
-			s.wsSendErrorCode(conn, wire.CodeBadRequest, err.Error())
+			wsSendError(conn, badRequest(err.Error()))
 			continue
 		}
 		if msg.Want > 0 {
 			sess.grant(msg.Want)
 		}
 		if msg.Result != nil {
-			if _, err := s.svc.ApplyResult(ctx, msg.Result); err != nil {
-				s.wsSendError(conn, err)
-			} else {
-				s.touchResult(msg.Result)
+			if _, err := s.applyResult(ctx, msg.Result); err != nil {
+				wsSendError(conn, err)
 			}
 		}
 		if msg.Ack != nil {
-			if err := s.svc.Ack(ctx, msg.Ack.Lease, msg.Ack.Done); err != nil {
-				s.wsSendError(conn, err)
+			if _, err := s.ack(ctx, []frame.Ack{{Lease: msg.Ack.Lease, Done: msg.Ack.Done}}); err != nil {
+				wsSendError(conn, err)
 			}
 		}
 	}
 }
 
-// wsSendError pushes a service error to the worker as an ErrorEnvelope
-// frame (the socket analogue of a non-2xx response). Transport failures
-// are ignored — the session is ending anyway.
-func (s *HTTPServer) wsSendError(conn *ws.Conn, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return
-	}
-	_, code := statusForErr(err)
-	s.wsSendErrorCode(conn, code, err.Error())
-}
-
-func (s *HTTPServer) wsSendErrorCode(conn *ws.Conn, code, msg string) {
-	env := wire.ErrorEnvelope{Error: wire.ErrorBody{Code: code, Message: msg}}
-	raw, err := json.Marshal(env)
-	if err != nil {
-		return
-	}
-	conn.WriteMessage(ws.OpText, raw)
-}
-
 // wsSession is the per-connection credit ledger: the worker grants
-// credits sized to its compute capacity, the push loop spends them.
+// credits sized to its compute capacity (at most wire.MaxWSWant per
+// message), the push loop spends them.
 type wsSession struct {
-	mu      sync.Mutex
-	credits int
+	credits atomic.Int64
 	wake    chan struct{}
 }
 
 func (w *wsSession) grant(n int) {
-	w.mu.Lock()
-	w.credits += n
-	w.mu.Unlock()
+	w.credits.Add(int64(n))
 	select {
 	case w.wake <- struct{}{}:
 	default:
@@ -163,20 +140,16 @@ func (w *wsSession) grant(n int) {
 }
 
 // take blocks until one credit is available (true) or the session ends
-// (false).
+// (false). The push loop is the only taker, so a positive balance
+// cannot drop between the check and the spend.
 func (w *wsSession) take(ctx context.Context) bool {
-	for {
-		w.mu.Lock()
-		if w.credits > 0 {
-			w.credits--
-			w.mu.Unlock()
-			return true
-		}
-		w.mu.Unlock()
+	for w.credits.Load() <= 0 {
 		select {
 		case <-ctx.Done():
 			return false
 		case <-w.wake:
 		}
 	}
+	w.credits.Add(-1)
+	return true
 }

@@ -303,3 +303,87 @@ func statInt(t *testing.T, ts *httptest.Server, key string) int64 {
 	}
 	return int64(f)
 }
+
+// chanJobSource leases exactly the jobs a test feeds it.
+type chanJobSource struct {
+	*Engine
+	jobs chan *wire.Job
+}
+
+func (s *chanJobSource) NextJob(ctx context.Context) (*wire.Job, error) {
+	select {
+	case j := <-s.jobs:
+		return j, nil
+	case <-ctx.Done():
+		return nil, nil
+	}
+}
+
+// TestV1WorkerWSHugeGrantsKeepCredits: two credit grants near the int
+// limit must not wrap the session's ledger negative. A worker that then
+// runs the one-at-a-time protocol (want:1, take the job, re-grant) keeps
+// receiving pushes.
+func TestV1WorkerWSHugeGrantsKeepCredits(t *testing.T) {
+	e := NewEngine(testConfig())
+	defer e.Close()
+	src := &chanJobSource{Engine: e, jobs: make(chan *wire.Job, 2)}
+	srv := NewServer(src, 0)
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	conn, err := ws.Dial(ctx, ts.URL+wire.WSWorkerPath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frames := make(chan []byte, 16)
+	go func() {
+		for {
+			_, frame, err := conn.ReadMessage()
+			if err != nil {
+				close(frames)
+				return
+			}
+			frames <- frame
+		}
+	}()
+	nextJob := func(uid uint32) {
+		t.Helper()
+		timeout := time.After(3 * time.Second)
+		for {
+			select {
+			case frame, ok := <-frames:
+				if !ok {
+					t.Fatal("socket closed before the job was pushed")
+				}
+				if wire.IsWSError(frame) {
+					continue
+				}
+				job, err := wire.DecodeJob(frame)
+				if err != nil || job.UID != uid {
+					t.Fatalf("pushed frame %s, want job %d", frame, uid)
+				}
+				return
+			case <-timeout:
+				t.Fatalf("job %d never pushed: the credit ledger is exhausted", uid)
+			}
+		}
+	}
+	send := func(msg string) {
+		t.Helper()
+		if err := conn.WriteMessage(ws.OpText, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	send(`{"want":9223372036854775807}`)
+	send(`{"want":9223372036854775807}`)
+	send(`{"want":1}`)
+	src.jobs <- &wire.Job{UID: 1}
+	nextJob(1)
+	send(`{"want":1}`)
+	src.jobs <- &wire.Job{UID: 2}
+	nextJob(2)
+}

@@ -8,15 +8,16 @@ import (
 	"time"
 
 	"hyrec"
+	"hyrec/internal/bench"
 	"hyrec/internal/core"
 	"hyrec/internal/server"
-	"hyrec/internal/stress"
 )
 
 // Race soak over the full hyrec.Service surface: every method —
 // Rate, RateBatch, Job, NextJob/Ack, ApplyResult, Recommendations,
-// Neighbors — hammered concurrently while the anonymiser rotates and new
-// users keep arriving, against the epoch-pinned snapshot read path. Run
+// Neighbors — hammered concurrently by the bench runner's closed loop
+// while the anonymiser rotates and new users keep arriving, against the
+// epoch-pinned snapshot read path. Run
 // under -race in CI (the internal/stress package is on the race list);
 // correctness here is "no race, no panic, no unexplained error", plus a
 // handful of end-state invariants.
@@ -50,71 +51,70 @@ func soakService(t *testing.T, b server.Backend, window time.Duration) {
 		return err
 	}
 
-	calls, failures := stress.ServiceThroughput(svc, 8, window,
-		func(ctx context.Context, svc server.Service, worker, i int) error {
-			u := core.UserID((worker*31+i)%users + 1)
-			switch (worker + i) % 12 {
-			case 0, 1, 2:
-				return svc.Rate(ctx, u, core.ItemID(i%items), i%2 == 0)
-			case 3:
-				fresh := []core.Rating{
-					{User: u, Item: core.ItemID(i % items), Liked: true},
-					{User: core.UserID(users + (worker*17+i)%64 + 1), Item: core.ItemID((i + 7) % items), Liked: false},
-				}
-				return svc.RateBatch(ctx, fresh)
-			case 4, 5, 6:
-				job, err := svc.Job(ctx, u)
-				if err != nil {
-					return err
-				}
-				jobs.Add(1)
-				if i%2 == 0 {
-					res, _ := widget.Execute(job)
-					if _, err := svc.ApplyResult(ctx, res); workerErr(err) != nil {
-						return err
-					}
-					applied.Add(1)
-				}
-				return nil
-			case 7:
-				pollCtx, cancel := context.WithTimeout(ctx, 5*time.Millisecond)
-				job, err := b.NextJob(pollCtx)
-				cancel()
-				if err != nil || job == nil {
-					return err
-				}
-				if job.Lease != 0 && i%3 == 0 {
-					// A churny worker: abandon politely for re-issue.
-					return workerErr(b.Ack(ctx, job.Lease, false))
-				}
+	soak := func(ctx context.Context, svc server.Service, worker, i int) error {
+		u := core.UserID((worker*31+i)%users + 1)
+		switch (worker + i) % 12 {
+		case 0, 1, 2:
+			return svc.Rate(ctx, u, core.ItemID(i%items), i%2 == 0)
+		case 3:
+			fresh := []core.Rating{
+				{User: u, Item: core.ItemID(i % items), Liked: true},
+				{User: core.UserID(users + (worker*17+i)%64 + 1), Item: core.ItemID((i + 7) % items), Liked: false},
+			}
+			return svc.RateBatch(ctx, fresh)
+		case 4, 5, 6:
+			job, err := svc.Job(ctx, u)
+			if err != nil {
+				return err
+			}
+			jobs.Add(1)
+			if i%2 == 0 {
 				res, _ := widget.Execute(job)
 				if _, err := svc.ApplyResult(ctx, res); workerErr(err) != nil {
 					return err
 				}
 				applied.Add(1)
-				return nil
-			case 8, 9:
-				_, err := svc.Neighbors(ctx, u)
-				return err
-			case 10:
-				_, err := svc.Recommendations(ctx, u, 10)
-				return err
-			default:
-				if i%64 == 63 {
-					b.RotateAnonymizer()
-					rotations.Add(1)
-					return nil
-				}
-				_, err := svc.Recommendations(ctx, u, 0)
+			}
+			return nil
+		case 7:
+			pollCtx, cancel := context.WithTimeout(ctx, 5*time.Millisecond)
+			job, err := b.NextJob(pollCtx)
+			cancel()
+			if err != nil || job == nil {
 				return err
 			}
-		})
-
-	if calls == 0 {
-		t.Fatal("soak completed zero calls")
+			if job.Lease != 0 && i%3 == 0 {
+				// A churny worker: abandon politely for re-issue.
+				return workerErr(b.Ack(ctx, job.Lease, false))
+			}
+			res, _ := widget.Execute(job)
+			if _, err := svc.ApplyResult(ctx, res); workerErr(err) != nil {
+				return err
+			}
+			applied.Add(1)
+			return nil
+		case 8, 9:
+			_, err := svc.Neighbors(ctx, u)
+			return err
+		case 10:
+			_, err := svc.Recommendations(ctx, u, 10)
+			return err
+		default:
+			if i%64 == 63 {
+				b.RotateAnonymizer()
+				rotations.Add(1)
+				return nil
+			}
+			_, err := svc.Recommendations(ctx, u, 0)
+			return err
+		}
 	}
-	if failures != 0 {
-		t.Fatalf("soak saw %d/%d unexplained failures", failures, calls)
+	res, err := bench.Run(ctx, svc, bench.Scenario{Name: "soak", Op: soak}, bench.Options{Window: window, Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures != 0 {
+		t.Fatalf("soak saw %d/%d unexplained failures", res.Failures, res.Ops+res.Failures)
 	}
 	if jobs.Load() == 0 || applied.Load() == 0 {
 		t.Fatalf("soak never exercised the personalization cycle: jobs=%d applied=%d", jobs.Load(), applied.Load())

@@ -12,8 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hyrec/internal/server"
 )
 
 // Load occupies approximately `fraction` of every CPU with busy-work until
@@ -88,48 +86,6 @@ func MeasureUnderLoad(levels []float64, window time.Duration, fn func()) []int64
 		stop()
 	}
 	return out
-}
-
-// ServiceThroughput drives any server.Service — an in-process engine, a
-// cluster, or (the interesting case) a typed HTTP client pointed at a
-// live server — with `workers` closed-loop goroutines for the given
-// window, returning completed and failed calls. op receives the service,
-// its worker index and worker-local iteration counter, so callers derive
-// deterministic per-worker workloads without shared state. This is the
-// harness that measures the actual network path the paper describes when
-// svc is a hyrec/client.Client.
-func ServiceThroughput(svc server.Service, workers int, window time.Duration,
-	op func(ctx context.Context, svc server.Service, worker, i int) error) (calls, failures int64) {
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), window)
-	defer cancel()
-	var total, failed atomic.Int64
-	var wg sync.WaitGroup
-	deadline := time.Now().Add(window)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			n, f := int64(0), int64(0)
-			for i := 0; time.Now().Before(deadline); i++ {
-				if err := op(ctx, svc, w, i); err != nil {
-					// A deadline hit while a call was in flight is the
-					// window closing, not a workload failure.
-					if ctx.Err() != nil {
-						break
-					}
-					f++
-				}
-				n++
-			}
-			total.Add(n)
-			failed.Add(f)
-		}(w)
-	}
-	wg.Wait()
-	return total.Load(), failed.Load()
 }
 
 // Throughput is the multi-worker analogue of Monitor: `workers`

@@ -141,3 +141,49 @@ func FuzzDecodeJob(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeWSClientMsg covers the worker socket's only server-side
+// decoder: every accepted message carries something, grants credits
+// within [0, MaxWSWant], never an ack without a lease, and survives an
+// encode/decode round trip unchanged.
+func FuzzDecodeWSClientMsg(f *testing.F) {
+	f.Add([]byte(`{"want":1}`))
+	f.Add([]byte(`{"want":65536}`))
+	f.Add([]byte(`{"want":9223372036854775807}`))
+	f.Add([]byte(`{"want":-1}`))
+	f.Add([]byte(`{"ack":{"lease":77,"done":false}}`))
+	f.Add([]byte(`{"ack":{"lease":0}}`))
+	f.Add([]byte(`{"want":1,"result":{"uid":7,"epoch":2,"lease":3,"neighbors":[1],"recs":[9]}}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeWSClientMsg(data)
+		if err != nil {
+			if m != nil {
+				t.Fatal("error with non-nil message")
+			}
+			return
+		}
+		if m.Want < 0 || m.Want > MaxWSWant {
+			t.Fatalf("accepted credit grant %d outside [0, %d]", m.Want, MaxWSWant)
+		}
+		if m.Want == 0 && m.Ack == nil && m.Result == nil {
+			t.Fatal("accepted an empty message")
+		}
+		if m.Ack != nil && m.Ack.Lease == 0 {
+			t.Fatal("accepted an ack without a lease")
+		}
+		re, err := EncodeWSClientMsg(m)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back, err := DecodeWSClientMsg(re)
+		if err != nil {
+			t.Fatalf("re-decode %s: %v", re, err)
+		}
+		if back.Want != m.Want || (back.Ack == nil) != (m.Ack == nil) || (back.Result == nil) != (m.Result == nil) ||
+			(m.Ack != nil && *back.Ack != *m.Ack) {
+			t.Fatalf("round trip changed message: %+v vs %+v", back, m)
+		}
+	})
+}

@@ -25,6 +25,8 @@
 // code, so clients dispatch on Code instead of parsing message text.
 package wire
 
+import "net/http"
+
 // V1Prefix is the path prefix of the versioned protocol.
 const V1Prefix = "/v1"
 
@@ -35,6 +37,9 @@ const (
 	MaxBatchRatings = 4096
 	// MaxBodyBytes bounds any /v1 request body.
 	MaxBodyBytes = 1 << 20
+	// MaxWSWant bounds the job-push credits one worker socket message
+	// may grant, so a session's credit ledger cannot overflow.
+	MaxWSWant = 1 << 16
 )
 
 // RatingMsg is one opinion in a batch rate request. Unlike job/result
@@ -157,6 +162,32 @@ const (
 	// CodeInternal: unexpected server-side failure.
 	CodeInternal = "internal"
 )
+
+// StatusForCode is the HTTP status every v1 error code travels with —
+// the one table the server's JSON envelopes and the typed client's
+// framed-error decoding share (a TError carries only the code).
+func StatusForCode(code string) int {
+	switch code {
+	case CodeBadRequest:
+		return http.StatusBadRequest
+	case CodeForbidden:
+		return http.StatusForbidden
+	case CodeUnknownUser, CodeUnknownLease:
+		return http.StatusNotFound
+	case CodeMethodNotAllowed:
+		return http.StatusMethodNotAllowed
+	case CodeStaleEpoch:
+		return http.StatusGone
+	case CodeTooLarge:
+		return http.StatusRequestEntityTooLarge
+	case CodeMoved, CodeNotPrimary:
+		return http.StatusMisdirectedRequest
+	case CodeOverloaded:
+		return http.StatusTooManyRequests
+	default:
+		return http.StatusInternalServerError
+	}
+}
 
 // ErrorBody is the typed payload inside an ErrorEnvelope.
 type ErrorBody struct {

@@ -44,7 +44,7 @@ func EncodeWSClientMsg(m *WSClientMsg) ([]byte, error) { return json.Marshal(m) 
 
 // DecodeWSClientMsg parses and validates a worker→server socket message:
 // well-formed JSON within MaxBodyBytes, carrying at least one field, with
-// non-negative credits and a non-zero ack lease.
+// credits in [0, MaxWSWant] and a non-zero ack lease.
 func DecodeWSClientMsg(data []byte) (*WSClientMsg, error) {
 	if len(data) > MaxBodyBytes {
 		return nil, fmt.Errorf("%w: message of %d bytes exceeds %d", ErrTooLarge, len(data), MaxBodyBytes)
@@ -55,6 +55,9 @@ func DecodeWSClientMsg(data []byte) (*WSClientMsg, error) {
 	}
 	if m.Want < 0 {
 		return nil, fmt.Errorf("wire: negative credit grant %d", m.Want)
+	}
+	if m.Want > MaxWSWant {
+		return nil, fmt.Errorf("%w: credit grant %d exceeds %d", ErrTooLarge, m.Want, MaxWSWant)
 	}
 	if m.Want == 0 && m.Ack == nil && m.Result == nil {
 		return nil, ErrEmptyWSMsg
@@ -67,7 +70,7 @@ func DecodeWSClientMsg(data []byte) (*WSClientMsg, error) {
 
 // wsErrorPrefix distinguishes the two server→worker frame shapes. Both
 // encoders are ours: jobs always open with {"uid": (AppendJob) and
-// error envelopes with {"error": (writeJSON/json.Marshal of
+// error envelopes with {"error": (replyJSON/json.Marshal of
 // ErrorEnvelope), so a prefix test is exact, not a heuristic.
 var wsErrorPrefix = []byte(`{"error"`)
 
