@@ -166,13 +166,11 @@ func BenchmarkBandwidthComparison(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-// BenchmarkAblationProfileCache compares personalization-job assembly with
-// and without the serialized-profile cache.
+// BenchmarkAblationProfileCache measures personalization-job assembly
+// from the serialized-profile cache on dense candidate sets.
 func BenchmarkAblationProfileCache(b *testing.B) {
-	build := func(disable bool) *hyrec.Engine {
-		cfg := hyrec.DefaultConfig()
-		cfg.DisableProfileCache = disable
-		engine := hyrec.NewEngine(cfg)
+	build := func() *hyrec.Engine {
+		engine := hyrec.NewEngine(hyrec.DefaultConfig())
 		for u := core.UserID(0); u < 200; u++ {
 			for j := 0; j < 100; j++ {
 				engine.Rate(tctx, u, core.ItemID((int(u)*13+j*7)%1000), true)
@@ -189,16 +187,7 @@ func BenchmarkAblationProfileCache(b *testing.B) {
 		return engine
 	}
 	b.Run("cache=on", func(b *testing.B) {
-		engine := build(false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.JobPayload(core.UserID(i % 200)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cache=off", func(b *testing.B) {
-		engine := build(true)
+		engine := build()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := engine.JobPayload(core.UserID(i % 200)); err != nil {

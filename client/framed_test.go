@@ -244,7 +244,7 @@ func TestFramedJSONConvergence(t *testing.T) {
 // for the protocol but would make byte-comparing two fetches vacuous.
 type fixedSampler struct{ users []hyrec.UserID }
 
-func (s fixedSampler) Sample(u hyrec.UserID, _ int) []hyrec.UserID {
+func (s fixedSampler) Sample(_ *hyrec.TableView, u hyrec.UserID, _ int) []hyrec.UserID {
 	var out []hyrec.UserID
 	for _, c := range s.users {
 		if c != u {

@@ -76,7 +76,6 @@ func run(args []string) error {
 		r        = fs.Int("r", 10, "recommendations per job")
 		rotate   = fs.Duration("rotate", time.Hour, "anonymous-mapping rotation period (0 disables)")
 		seed     = fs.Int64("seed", 1, "randomness seed")
-		noCache  = fs.Bool("no-profile-cache", false, "disable the serialized-profile cache")
 		noAnon   = fs.Bool("no-anonymizer", false, "send real identifiers (debugging only)")
 		gzipBest = fs.Bool("gzip-best", false, "use best-compression gzip instead of best-speed")
 		maxItems = fs.Int("max-profile-items", 0, "truncate candidate profiles to this many items (0 = unlimited)")
@@ -100,7 +99,6 @@ func run(args []string) error {
 	cfg.K = *k
 	cfg.R = *r
 	cfg.Seed = *seed
-	cfg.DisableProfileCache = *noCache
 	cfg.DisableAnonymizer = *noAnon
 	cfg.MaxProfileItems = *maxItems
 	cfg.RecCacheUsers = *recLRU

@@ -80,6 +80,9 @@ type (
 	Engine = server.Engine
 	// Sampler is the candidate-set customization point of Table 1.
 	Sampler = server.Sampler
+	// TableView is the pinned, lock-free view of an engine's profile and
+	// KNN tables that every Sampler call reads.
+	TableView = server.TableView
 	// RandomOnlySampler is the pure-exploration ablation sampler.
 	RandomOnlySampler = server.RandomOnlySampler
 	// NoRandomSampler is the pure-exploitation (two-hop-only) ablation

@@ -138,55 +138,6 @@ func TestReportRoundTripAndCompare(t *testing.T) {
 	}
 }
 
-// TestSnapshotPathBeatsLockedBaselineOnAllocs is the bench-level form of
-// the acceptance criterion, measured through the runner: pure job
-// payload serving (assembly + encode, the path the snapshot tables and
-// pooled encoders optimize) on a default engine must spend less than
-// half the allocations per op of the retained lock-based configuration.
-// TestHotPathAllocReduction (internal/server) pins the same bound with
-// testing.AllocsPerRun precision.
-func TestSnapshotPathBeatsLockedBaselineOnAllocs(t *testing.T) {
-	if raceEnabled {
-		// The detector's shadow allocations land in the process-wide
-		// counters and wash out the ratio; TestHotPathAllocReduction
-		// (internal/server) pins the same bound race-stably with
-		// testing.AllocsPerRun.
-		t.Skip("process-wide allocation ratios are unreliable under -race")
-	}
-	opts := shortOpts()
-	opts.Window = 150 * time.Millisecond
-	base := scenarioSet(opts.Users)["job-worker-heavy"]
-	sc := Scenario{
-		Name:  "serve-only",
-		Setup: base.Setup,
-		Op: func(ctx context.Context, svc server.Service, worker, i int) error {
-			return servePayload(svc, benchUID(worker, i, opts.Users))
-		},
-	}
-
-	lockedCfg := server.DefaultConfig()
-	lockedCfg.DisableTableSnapshots = true
-	locked := server.NewEngine(lockedCfg)
-	lockedRes, err := Run(context.Background(), locked, sc, opts)
-	locked.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	snap := server.NewEngine(server.DefaultConfig())
-	snapRes, err := Run(context.Background(), snap, sc, opts)
-	snap.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Logf("allocs/op: locked=%.1f snapshot=%.1f", lockedRes.AllocsPerOp, snapRes.AllocsPerOp)
-	if snapRes.AllocsPerOp > lockedRes.AllocsPerOp/2 {
-		t.Fatalf("snapshot path allocs/op %.1f not under half of locked baseline %.1f",
-			snapRes.AllocsPerOp, lockedRes.AllocsPerOp)
-	}
-}
-
 // TestCapacityShortRun drives the full matrix at a tiny window — the
 // exact code path scripts/bench.sh and the capacity experiment run.
 func TestCapacityShortRun(t *testing.T) {

@@ -60,18 +60,11 @@ func roundTrip(ctx context.Context, svc server.Service, u core.UserID) error {
 
 // servePayload exercises the serving-path hot loop: assemble and
 // serialize u's job exactly as the HTTP layer would — the pooled
-// zero-allocation append path on a default configuration. A service
-// configured with DisableTableSnapshots is measured on the retained
-// baseline (per-call buffers, per-lookup locks), so locked-vs-snapshot
-// comparisons pit the two complete hot paths against each other.
+// zero-allocation append path.
 func servePayload(svc server.Service, u core.UserID) error {
 	b, ok := svc.(server.Backend)
 	if !ok {
 		return errors.New("bench: service serves no payloads")
-	}
-	if b.Config().DisableTableSnapshots {
-		_, _, err := b.AppendJobPayload(context.Background(), u, nil, nil)
-		return err
 	}
 	bufs := wire.GetPayloadBufs()
 	jsonBody, gzBody, err := b.AppendJobPayload(context.Background(), u, bufs.JSON, bufs.Gz)

@@ -176,7 +176,9 @@ func (h *heartbeats) repair(peers []probe) {
 		}
 		if p.epoch < cur.Epoch {
 			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PeerTimeout)
-			_ = n.peer(p.addr).PushNodeMap(ctx, cur)
+			if err := n.peer(p.addr).PushNodeMap(ctx, cur); err != nil {
+				n.mapPushErrors.Add(1)
+			}
 			cancel()
 		}
 		if p.epoch > cur.Epoch && (newest == nil || p.epoch > newest.epoch) {
@@ -240,7 +242,9 @@ func (h *heartbeats) push(m *wire.NodeMap, alive []Member) {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PeerTimeout)
-		_ = n.peer(mb.Addr).PushNodeMap(ctx, m)
+		if err := n.peer(mb.Addr).PushNodeMap(ctx, m); err != nil {
+			n.mapPushErrors.Add(1)
+		}
 		cancel()
 	}
 }

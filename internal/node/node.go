@@ -105,6 +105,12 @@ type Node struct {
 	hb *heartbeats
 
 	failovers atomic.Int64
+	// handoffErrors and mapPushErrors count best-effort node-plane sends
+	// that failed: state handoffs to a new primary and node-map pushes
+	// to peers. Both are repaired later (anti-entropy, epoch repair), so
+	// a failure is counted rather than returned.
+	handoffErrors atomic.Int64
+	mapPushErrors atomic.Int64
 
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -698,6 +704,8 @@ func (n *Node) Stats() map[string]any {
 	stats["replica_lag_users"] = n.repl.lag()
 	stats["replica_backlog_users"] = n.repl.backlogHighWater()
 	stats["failovers_total"] = n.failovers.Load()
+	stats["handoff_errors_total"] = n.handoffErrors.Load()
+	stats["nodemap_push_errors_total"] = n.mapPushErrors.Load()
 	return stats
 }
 

@@ -604,3 +604,60 @@ func TestReplicaRejectsWorkerTraffic(t *testing.T) {
 		t.Fatal("envelope does not name the primary address")
 	}
 }
+
+// TestNodePlaneErrorsCounted: a node-map push and a state handoff to a
+// stopped peer fail, and each failure is counted in Node.Stats (and so
+// in /metrics) instead of being dropped.
+func TestNodePlaneErrorsCounted(t *testing.T) {
+	stopped := httptest.NewServer(http.NotFoundHandler())
+	stopped.Close()
+	mems := []Member{
+		{ID: "n1", Addr: "http://127.0.0.1:1"},
+		{ID: "n2", Addr: stopped.URL},
+	}
+	nd, err := New(Config{
+		Self:           mems[0],
+		Members:        mems,
+		Partitions:     4,
+		Engine:         testEngineConfig(),
+		HeartbeatEvery: -1,
+		ReplicateEvery: -1,
+		PeerTimeout:    200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	counter := func(key string) int64 {
+		t.Helper()
+		v, ok := nd.Stats()[key].(int64)
+		if !ok {
+			t.Fatalf("stats carry no int64 %q", key)
+		}
+		return v
+	}
+	if got := counter("nodemap_push_errors_total"); got != 0 {
+		t.Fatalf("nodemap_push_errors_total = %d before any push", got)
+	}
+	nd.hb.push(nd.Map(), mems)
+	if got := counter("nodemap_push_errors_total"); got != 1 {
+		t.Fatalf("nodemap_push_errors_total = %d after one push to a stopped peer, want 1", got)
+	}
+
+	m := nd.Map()
+	part := -1
+	for p := 0; p < m.Partitions; p++ {
+		if pr := m.Primary(p); pr != nil && pr.ID == "n2" {
+			part = p
+			break
+		}
+	}
+	if part < 0 {
+		t.Fatal("the stopped peer is primary for no partition")
+	}
+	nd.cl.Engine(part).RegisterUser(7)
+	nd.repl.handoff(part, m)
+	if got := counter("handoff_errors_total"); got != 1 {
+		t.Fatalf("handoff_errors_total = %d after one handoff to a stopped peer, want 1", got)
+	}
+}

@@ -386,7 +386,9 @@ func (r *replicator) handoff(p int, m *wire.NodeMap) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), r.n.cfg.PeerTimeout)
 	defer cancel()
-	_ = r.ship(ctx, p, users, true, pr.Addr)
+	if err := r.ship(ctx, p, users, true, pr.Addr); err != nil {
+		r.n.handoffErrors.Add(1)
+	}
 }
 
 // loop drives the async tail and the anti-entropy pass until stop.

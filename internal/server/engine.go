@@ -16,13 +16,14 @@ import (
 	"hyrec/internal/wire"
 )
 
-// Sampler is the server-side customization point of Table 1: given a user
-// and the neighborhood parameter k it returns the candidate set for the
-// next KNN iteration. The default implementation follows Section 3.1
-// (one-hop ∪ two-hop ∪ k random users); content providers may plug
-// alternatives.
+// Sampler is the server-side customization point of Table 1: given the
+// table view pinned for the job, a user and the neighborhood parameter k
+// it returns the candidate set for the next KNN iteration. Every lookup
+// through the view is lock-free. The default implementation follows
+// Section 3.1 (one-hop ∪ two-hop ∪ k random users); content providers
+// may plug alternatives.
 type Sampler interface {
-	Sample(u core.UserID, k int) []core.UserID
+	Sample(v *TableView, u core.UserID, k int) []core.UserID
 }
 
 // Config parametrises an Engine. The zero value is not usable; call
@@ -37,15 +38,6 @@ type Config struct {
 	// DisableAnonymizer sends real identifiers on the wire. Only for
 	// debugging and ablations; the paper's deployment always anonymises.
 	DisableAnonymizer bool
-	// DisableProfileCache turns off the serialized-profile cache
-	// (ablation: BenchmarkAblationProfileCache).
-	DisableProfileCache bool
-	// DisableTableSnapshots turns off the epoch-pinned copy-on-write
-	// read path (view.go) and retains the original per-lookup shard
-	// locking during job assembly. Kept as an ablation and as the
-	// baseline TestHotPathAllocReduction and the capacity benchmark
-	// measure the snapshot path against.
-	DisableTableSnapshots bool
 	// GzipLevel for outgoing personalization jobs.
 	GzipLevel wire.GzipLevel
 	// MaxProfileItems, when positive, truncates profiles embedded in
@@ -122,7 +114,7 @@ func (c Config) SchedulerEnabled() bool {
 }
 
 // DefaultConfig returns the paper's default parameters: k=10, r=10,
-// BestSpeed gzip, anonymisation and profile cache enabled.
+// BestSpeed gzip, anonymisation enabled.
 func DefaultConfig() Config {
 	return Config{K: 10, R: 10, Seed: 1, GzipLevel: wire.GzipBestSpeed}
 }
@@ -169,8 +161,8 @@ type Engine struct {
 	sched *sched.Scheduler
 
 	// views publishes the epoch-pinned copy-on-write table snapshots job
-	// assembly reads from (nil when cfg.DisableTableSnapshots).
-	views *viewState
+	// assembly reads from.
+	views viewState
 
 	// Candidate-set size accounting (Figure 5): sum and count of candidate
 	// sets issued since the last ResetCandidateStats call.
@@ -224,6 +216,7 @@ func NewEngine(cfg Config) *Engine {
 		profiles: NewProfileTable(),
 		knn:      NewKNNTable(),
 		meter:    &wire.Meter{},
+		cache:    wire.NewProfileCache(),
 		recs:     newRecStore(cfg.RecCacheUsers),
 	}
 	for i := range e.rngs {
@@ -231,12 +224,6 @@ func NewEngine(cfg Config) *Engine {
 	}
 	if !cfg.DisableAnonymizer {
 		e.anon = core.NewAnonymizer(cfg.Seed + 1)
-	}
-	if !cfg.DisableProfileCache {
-		e.cache = wire.NewProfileCache()
-	}
-	if !cfg.DisableTableSnapshots {
-		e.views = newViewState()
 	}
 	e.sampler = &defaultSampler{engine: e}
 	if cfg.SchedulerEnabled() {
@@ -424,39 +411,28 @@ func (e *Engine) Job(ctx context.Context, u core.UserID) (*wire.Job, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Lease BEFORE snapshotting the profile: a rating that lands after
-	// the snapshot then finds u leased and sets dirty-again, so its
-	// refresh is re-queued when this job completes instead of being
-	// silently absorbed. (NextJob gets this ordering from sched.Next.)
-	var l sched.Lease
-	if e.sched != nil {
-		l = e.sched.Acquire(u)
-	}
-	job := e.assembleJob(u)
-	if e.sched != nil {
-		stampLease(job, l)
-	}
-	return job, nil
+	return e.buildJob(u, e.acquire(u)), nil
 }
 
 // assembleScratch is the pooled per-assembly working set: candidate IDs,
-// dedup state, random-draw buffer, fragment list and a re-seedable RNG.
-// Everything is reclaimed in one releaseScratch call at the end of the
-// assembly, so steady-state job assembly allocates none of it.
+// dedup state, random-draw buffer, candidate profiles, fragment list and
+// a re-seedable RNG. Everything is reclaimed in one releaseScratch call
+// at the end of the assembly, so steady-state job assembly allocates
+// none of it.
 type assembleScratch struct {
 	cands   []core.UserID
 	seen    map[core.UserID]struct{}
 	randBuf []core.UserID
+	profs   []core.Profile
 	frags   [][]byte
 	fragGz  [][]byte
 	src     rand.Source
 	rng     *rand.Rand
-	// Refresh-path working set (refreshLocally): candidate profiles, the
-	// selected neighborhood, Algorithm 2's popularity tally, a rec buffer
-	// and a re-armable top-k collector. Together with the Into variants of
-	// the core kernels these make a steady-state refresh allocate only the
+	// Refresh-path working set (refreshLocally): the selected
+	// neighborhood, Algorithm 2's popularity tally, a rec buffer and a
+	// re-armable top-k collector. Together with the Into variants of the
+	// core kernels these make a steady-state refresh allocate only the
 	// two table rows it retains.
-	profs  []core.Profile
 	hood   []core.Neighbor
 	pop    map[core.ItemID]int
 	recbuf []core.ItemID
@@ -505,83 +481,85 @@ func (sc *assembleScratch) seededRng(seed int64) *rand.Rand {
 	return sc.rng
 }
 
-// ViewSampler is the snapshot-aware extension of Sampler: SampleView
-// assembles the candidate set against a pinned TableView, so every table
-// lookup is lock-free. The engine probes for it with a type assertion and
-// falls back to Sample for samplers that only implement the base
-// interface (which then read the live, locked tables as before).
-type ViewSampler interface {
-	SampleView(v *TableView, u core.UserID, k int) []core.UserID
-}
-
-// sampleCandidates runs the configured sampler, preferring the pinned
-// snapshot path. With the engine's own default sampler the candidate
-// slice comes from sc and must not outlive the scratch release.
-func (e *Engine) sampleCandidates(v *TableView, sc *assembleScratch, u core.UserID) []core.UserID {
-	if v != nil {
-		if ds, ok := e.sampler.(*defaultSampler); ok && sc != nil {
-			return ds.sampleViewInto(v, sc, u, e.cfg.K)
-		}
-		if vs, ok := e.sampler.(ViewSampler); ok {
-			return vs.SampleView(v, u, e.cfg.K)
-		}
+// acquire leases u's job when the scheduler runs (the zero lease
+// otherwise). Jobs lease BEFORE gather snapshots the profile: a rating
+// that lands after the snapshot then finds u leased and sets
+// dirty-again, so its refresh is re-queued when this job completes
+// instead of being silently absorbed. (NextJob gets this ordering from
+// sched.Next.)
+func (e *Engine) acquire(u core.UserID) sched.Lease {
+	if e.sched == nil {
+		return sched.Lease{}
 	}
-	return e.sampler.Sample(u, e.cfg.K)
+	return e.sched.Acquire(u)
 }
 
-// assembleJob builds the unleased job message for u — the synchronous
-// core shared by the user-driven pull (Job), the worker dispatch
-// (NextJob) and their payload variants.
-func (e *Engine) assembleJob(u core.UserID) *wire.Job {
+// startJob opens u's job: it registers u on first contact (so she can
+// appear in other users' random samples) and fills the header — u's
+// pseudonym, k, r and, under the scheduler, lease l. The returned view
+// pins one anonymiser epoch for the whole job, so every pseudonym in the
+// message belongs to the epoch it is stamped with even if
+// RotateAnonymizer runs concurrently.
+func (e *Engine) startJob(u core.UserID, l sched.Lease) (wire.Job, core.Aliaser) {
 	if !e.profiles.Known(u) {
-		// First contact: register the user with an empty profile so she
-		// can appear in other users' random samples.
 		e.profiles.Put(core.NewProfile(u))
 	}
+	view := e.anonView()
+	job := wire.Job{UID: uint32(view.AliasUser(u)), Epoch: view.Epoch(), K: e.cfg.K, R: e.cfg.R}
+	if e.sched != nil {
+		job.Lease = l.ID
+		job.LeaseDeadlineMS = l.Deadline.UnixMilli()
+		job.Attempt = l.Attempt
+	}
+	return job, view
+}
+
+// gather is the one prologue of every job and every local refresh:
+// snapshot u's profile, pin a table view, run the Sampler against it and
+// load the candidate profiles into sc.profs. It returns u's own profile.
+// The engine's own default sampler builds into sc; any other sampler
+// returns a slice of its own.
+func (e *Engine) gather(sc *assembleScratch, u core.UserID) core.Profile {
 	p := e.profiles.Get(u)
-	tv := e.pinView()
+	v := e.pinView()
+	var cands []core.UserID
+	if ds, ok := e.sampler.(*defaultSampler); ok {
+		cands = ds.sampleInto(v, sc, u, e.cfg.K)
+	} else {
+		cands = e.sampler.Sample(v, u, e.cfg.K)
+	}
+	e.recordCandidates(len(cands))
+	sc.profs = slices.Grow(sc.profs[:0], len(cands))
+	for _, c := range cands {
+		sc.profs = append(sc.profs, e.loadCandidate(v, c))
+	}
+	return p
+}
+
+// buildJob assembles u's job message under lease l — the synchronous
+// core of Job, NextJob and TryNextJob, and the message a filtered
+// payload is encoded from.
+func (e *Engine) buildJob(u core.UserID, l sched.Lease) *wire.Job {
+	job, view := e.startJob(u, l)
 	sc := getScratch()
 	defer releaseScratch(sc)
-	candidates := e.sampleCandidates(tv, sc, u)
-	e.recordCandidates(len(candidates))
-
-	// One pinned view per job: every pseudonym in the message belongs to
-	// the epoch the job is stamped with, even if RotateAnonymizer runs
-	// concurrently.
-	view := e.anonView()
-	job := &wire.Job{
-		UID:        uint32(view.AliasUser(u)),
-		Epoch:      view.Epoch(),
-		K:          e.cfg.K,
-		R:          e.cfg.R,
-		Candidates: make([]wire.ProfileMsg, 0, len(candidates)),
-	}
+	p := e.gather(sc, u)
 	// All aliased item lists share one sized arena: two allocations per
 	// candidate become one per job. The arena escapes with the job, so
 	// no pooling — sizing is what matters here.
-	profs := slices.Grow(sc.profs[:0], len(candidates))
 	total := len(p.Liked()) + len(p.Disliked())
-	for _, c := range candidates {
-		cp := e.candidateProfileView(tv, c)
-		profs = append(profs, cp)
+	for _, cp := range sc.profs {
 		total += len(cp.Liked()) + len(cp.Disliked())
 	}
-	sc.profs = profs
 	arena := make([]uint32, 0, total)
 	job.Profile, arena = wire.ProfileToMsgArena(p, view, arena)
-	for _, cp := range profs {
+	job.Candidates = make([]wire.ProfileMsg, 0, len(sc.profs))
+	for _, cp := range sc.profs {
 		var msg wire.ProfileMsg
 		msg, arena = wire.ProfileToMsgArena(cp, view, arena)
 		job.Candidates = append(job.Candidates, msg)
 	}
-	return job
-}
-
-// stampLease writes the scheduler's lease metadata onto an assembled job.
-func stampLease(job *wire.Job, l sched.Lease) {
-	job.Lease = l.ID
-	job.LeaseDeadlineMS = l.Deadline.UnixMilli()
-	job.Attempt = l.Attempt
+	return &job
 }
 
 // NextJob implements the pull-based worker dispatch: it blocks until a
@@ -597,9 +575,7 @@ func (e *Engine) NextJob(ctx context.Context) (*wire.Job, error) {
 	if !ok {
 		return nil, nil
 	}
-	job := e.assembleJob(l.User)
-	stampLease(job, l)
-	return job, nil
+	return e.buildJob(l.User, l), nil
 }
 
 // TryNextJob is the non-blocking form of NextJob (the cluster front-end
@@ -612,9 +588,7 @@ func (e *Engine) TryNextJob() (*wire.Job, error) {
 	if !ok {
 		return nil, nil
 	}
-	job := e.assembleJob(l.User)
-	stampLease(job, l)
-	return job, nil
+	return e.buildJob(l.User, l), nil
 }
 
 // Ack resolves a lease without a result: done=true completes it,
@@ -650,22 +624,14 @@ func (e *Engine) refreshLocally(ctx context.Context, u core.UserID) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p := e.profiles.Get(u)
-	tv := e.pinView()
 	sc := getScratch()
 	defer releaseScratch(sc)
-	candidates := e.sampleCandidates(tv, sc, u)
-	e.recordCandidates(len(candidates))
-	profs := slices.Grow(sc.profs[:0], len(candidates))
-	for _, c := range candidates {
-		profs = append(profs, e.candidateProfileView(tv, c))
-	}
-	sc.profs = profs
+	p := e.gather(sc, u)
 	metric := e.cfg.FallbackMetric
 	if metric == nil {
 		metric = core.Cosine{}
 	}
-	sc.hood = core.SelectKNNInto(p, profs, e.cfg.K, metric, sc.col, sc.hood)
+	sc.hood = core.SelectKNNInto(p, sc.profs, e.cfg.K, metric, sc.col, sc.hood)
 	// The KNN table retains the row it is handed, so this copy (exact
 	// size) and the recommendation row below are the only allocations a
 	// steady-state refresh performs — everything else lives in sc.
@@ -684,7 +650,7 @@ func (e *Engine) refreshLocally(ctx context.Context, u core.UserID) error {
 		return nil
 	}
 	e.knn.Put(u, ids)
-	sc.recbuf = core.RecommendInto(p, profs, e.cfg.R, sc.col, sc.pop, sc.recbuf)
+	sc.recbuf = core.RecommendInto(p, sc.profs, e.cfg.R, sc.col, sc.pop, sc.recbuf)
 	if len(sc.recbuf) > 0 {
 		recs := make([]core.ItemID, len(sc.recbuf))
 		copy(recs, sc.recbuf)
@@ -702,26 +668,15 @@ func (e *Engine) anonView() core.Aliaser {
 	return e.anon.View()
 }
 
-// candidateProfile loads c's profile — from the local table, or through
-// the profile resolver for users owned elsewhere — and applies the
-// outbound transforms (truncation, then the privacy filter) in the order a
-// deployment would.
-func (e *Engine) candidateProfile(c core.UserID) core.Profile {
-	return e.candidateProfileView(nil, c)
-}
-
-// candidateProfileView is candidateProfile reading through a pinned view
-// when one is supplied: candidates the view knows resolve without any
-// locking; view misses (users registered since the view was built, or
-// users owned by sibling partitions) take the original locked/resolver
-// path.
-func (e *Engine) candidateProfileView(v *TableView, c core.UserID) core.Profile {
-	var cp core.Profile
-	var fromView bool
-	if v != nil {
-		cp, fromView = v.Profile(c)
-	}
-	if !fromView {
+// loadCandidate reads c's profile through the pinned view — lock-free
+// for every user the view knows — and applies the outbound transforms
+// (truncation, then the privacy filter) in the order a deployment would.
+// View misses (users registered since the view was built, or users owned
+// by sibling partitions) fall back to the authoritative table or the
+// profile resolver.
+func (e *Engine) loadCandidate(v *TableView, c core.UserID) core.Profile {
+	cp, ok := v.Profile(c)
+	if !ok {
 		if e.resolveProfile == nil || e.profiles.Known(c) {
 			cp = e.profiles.Get(c)
 		} else if fp, ok := e.resolveProfile(c); ok {
@@ -740,28 +695,28 @@ func (e *Engine) candidateProfileView(v *TableView, c core.UserID) core.Profile 
 }
 
 // JobPayload assembles u's personalization job and serializes it:
-// raw JSON (assembled from cached fragments when the cache is enabled)
-// plus the gzip payload that would cross the wire. Both sizes are metered.
-// The returned slices are freshly allocated; the zero-allocation serving
-// path is AppendJobPayload with pooled buffers.
+// raw JSON (assembled from cached fragments unless a candidate filter is
+// set) plus the gzip payload that would cross the wire. Both sizes are
+// metered. The returned slices are freshly allocated; the
+// zero-allocation serving path is AppendJobPayload with pooled buffers.
 func (e *Engine) JobPayload(u core.UserID) (jsonBody, gzBody []byte, err error) {
 	return e.AppendJobPayload(context.Background(), u, nil, nil)
 }
 
 // AppendJobPayload is JobPayload appending into caller-owned buffers
 // (which may be nil): jsonBody extends jsonDst, gzBody extends gzDst.
-// With pooled, pre-grown buffers (wire.GetPayloadBufs) and the snapshot
-// read path enabled, a steady-state call allocates approximately nothing:
-// candidate assembly works out of a pooled scratch, candidate and own
+// With pooled, pre-grown buffers (wire.GetPayloadBufs) a steady-state
+// call allocates approximately nothing: candidate assembly works out of
+// a pooled scratch against a pinned table view, candidate and own
 // profile fragments come from the serialized-profile cache, and the gzip
 // writer is pooled.
 func (e *Engine) AppendJobPayload(_ context.Context, u core.UserID, jsonDst, gzDst []byte) (jsonBody, gzBody []byte, err error) {
-	// The default configuration (profile cache on, no candidate filter,
-	// no truncation) takes the spliced-gzip path: the payload is
-	// assembled from per-profile deflate fragments cached alongside the
-	// JSON fragments, so compression cost is a memcpy plus a CRC over
-	// the body instead of re-deflating every byte (wire/gzipsplice.go).
-	// Any other configuration falls back to whole-buffer gzip below.
+	// The default configuration (no candidate filter, no truncation)
+	// takes the spliced-gzip path: the payload is assembled from
+	// per-profile deflate fragments cached alongside the JSON fragments,
+	// so compression cost is a memcpy plus a CRC over the body instead
+	// of re-deflating every byte (wire/gzipsplice.go). Any other
+	// configuration falls back to whole-buffer gzip below.
 	jsonBody, gzBody, spliced := e.appendJob(u, jsonDst, gzDst, true)
 	if !spliced {
 		gzBody, err = wire.AppendGzip(gzDst, jsonBody, e.cfg.GzipLevel)
@@ -778,137 +733,84 @@ func (e *Engine) AppendJobPayload(_ context.Context, u core.UserID, jsonDst, gzD
 // payload is byte-identical to AppendJobPayload's jsonBody, and no
 // compressed bytes are metered because none are produced.
 func (e *Engine) AppendJobJSON(_ context.Context, u core.UserID, jsonDst []byte) ([]byte, error) {
-	jsonBody := e.appendJobJSON(u, jsonDst)
+	jsonBody, _, _ := e.appendJob(u, jsonDst, nil, false)
 	e.meter.CountJob(len(jsonBody), 0)
 	return jsonBody, nil
-}
-
-// appendJobJSON assembles and serializes u's job (shared by the
-// gzip-producing and JSON-only serving paths; metering is theirs).
-func (e *Engine) appendJobJSON(u core.UserID, jsonDst []byte) (jsonBody []byte) {
-	jsonBody, _, _ = e.appendJob(u, jsonDst, nil, false)
-	return jsonBody
 }
 
 // appendJob assembles and serializes u's job, optionally building the
 // gzip payload in the same pass by splicing cached deflate fragments
 // (wantGz). spliced reports whether gzBody was produced; when false the
-// caller compresses jsonBody itself. Splicing engages only on the fully
-// cached path (cache enabled, no candidate filter, no truncation), where
-// every profile fragment's bytes appear verbatim in the JSON body.
+// caller compresses jsonBody itself. Splicing engages only when no
+// candidate filter and no truncation is configured, where every profile
+// fragment's bytes appear verbatim in the JSON body.
 func (e *Engine) appendJob(u core.UserID, jsonDst, gzDst []byte, wantGz bool) (jsonBody, gzBody []byte, spliced bool) {
-	if !e.profiles.Known(u) {
-		e.profiles.Put(core.NewProfile(u))
+	l := e.acquire(u)
+	if e.cfg.CandidateFilter != nil {
+		// Filtered profiles may differ between jobs, so memoising their
+		// encodings would be incorrect: encode the job message itself.
+		return wire.AppendJob(jsonDst, e.buildJob(u, l), nil), nil, false
 	}
-	// As in Job: lease before the profile snapshot so a concurrent
-	// rating is re-queued via dirty-again rather than absorbed.
-	var lease sched.Lease
-	if e.sched != nil {
-		lease = e.sched.Acquire(u)
-	}
-	p := e.profiles.Get(u)
-	tv := e.pinView()
+	job, view := e.startJob(u, l)
 	sc := getScratch()
 	defer releaseScratch(sc)
-	candidates := e.sampleCandidates(tv, sc, u)
-	e.recordCandidates(len(candidates))
+	p := e.gather(sc, u)
 
-	// As in Job: one pinned view keeps the epoch stamp and every
-	// pseudonym consistent under concurrent rotation.
-	view := e.anonView()
-	job := wire.Job{
-		UID:   uint32(view.AliasUser(u)),
-		Epoch: view.Epoch(),
-		K:     e.cfg.K,
-		R:     e.cfg.R,
-		// Profile and Candidates are injected during encoding below.
-	}
-	if e.sched != nil {
-		stampLease(&job, lease)
-	}
-
-	// With the cache enabled, candidate fragments come from the cache and
-	// encoding is a concatenation of memoised byte slices. A candidate
-	// filter forces the uncached path: filtered profiles may differ
-	// between jobs, so memoising their encodings would be incorrect. The
-	// requesting user's own fragment is cacheable too, but only while no
-	// truncation is configured: Truncate bumps the profile version, so a
-	// truncated candidate fragment and a full own fragment could otherwise
-	// collide under one (user, version) key.
-	useCache := e.cache != nil && e.cfg.CandidateFilter == nil
-	useOwnCache := useCache && e.cfg.MaxProfileItems <= 0
-	splice := wantGz && useOwnCache
-	var msgs []wire.ProfileMsg
-	if !useCache {
-		// Non-nil even when empty, so the uncached encoder emits [] and
-		// not null — the same bytes the cached splice produces.
-		msgs = make([]wire.ProfileMsg, 0, len(candidates))
-	}
-	for _, c := range candidates {
-		cp := e.candidateProfileView(tv, c)
-		switch {
-		case splice:
+	// Candidate fragments come from the cache, so encoding is a
+	// concatenation of memoised byte slices. The requesting user's own
+	// fragment is cacheable too, but only while no truncation is
+	// configured: Truncate bumps the profile version, so a truncated
+	// candidate fragment and a full own fragment could otherwise collide
+	// under one (user, version) key.
+	ownCache := e.cfg.MaxProfileItems <= 0
+	splice := wantGz && ownCache
+	for _, cp := range sc.profs {
+		if splice {
 			fj, fgz, err := e.cache.FragmentGz(cp, view, e.cfg.GzipLevel)
-			if err != nil {
-				// Deflate failure (cannot happen writing to memory, but
-				// contractually possible): abandon splicing for this
-				// payload and let the caller whole-buffer compress.
-				splice = false
-				sc.frags = append(sc.frags, e.cache.Fragment(cp, view))
+			if err == nil {
+				sc.frags = append(sc.frags, fj)
+				sc.fragGz = append(sc.fragGz, fgz)
 				continue
 			}
-			sc.frags = append(sc.frags, fj)
-			sc.fragGz = append(sc.fragGz, fgz)
-		case useCache:
-			sc.frags = append(sc.frags, e.cache.Fragment(cp, view))
-		default:
-			msgs = append(msgs, wire.ProfileToMsg(cp, view))
+			// Deflate failure (cannot happen writing to memory, but
+			// contractually possible): abandon splicing for this payload
+			// and let the caller whole-buffer compress.
+			splice = false
 		}
-	}
-	if splice && len(sc.fragGz) != len(sc.frags) {
-		splice = false
+		sc.frags = append(sc.frags, e.cache.Fragment(cp, view))
 	}
 
-	if useCache {
-		var ownFrag, ownGz []byte
-		if useOwnCache {
-			if splice {
-				var err error
-				ownFrag, ownGz, err = e.cache.FragmentGz(p, view, e.cfg.GzipLevel)
-				if err != nil {
-					splice = false
-				}
-			}
-			if ownFrag == nil {
-				ownFrag = e.cache.Fragment(p, view)
-			}
-		} else {
-			job.Profile = wire.ProfileToMsg(p, view)
-		}
-		var sp *wire.GzSplicer
+	var ownFrag, ownGz []byte
+	if ownCache {
 		if splice {
-			s := wire.BeginGzSplice(gzDst, e.cfg.GzipLevel, len(jsonDst))
-			sp = &s
-		}
-		jsonBody = e.assembleWithCache(jsonDst, &job, ownFrag, sc.frags, sp, ownGz, sc.fragGz)
-		if splice {
-			gzBody = sp.Finish(jsonBody)
-			// Splicing trades compression ratio for CPU: stored-block
-			// glue and per-fragment framing can outweigh the deflate win
-			// when profiles are tiny. Ship the spliced form only when it
-			// actually compressed; otherwise discard it and let the
-			// caller whole-buffer gzip the (small, cheap) body.
-			if len(gzBody)-len(gzDst) < len(jsonBody)-len(jsonDst) {
-				return jsonBody, gzBody, true
+			var err error
+			ownFrag, ownGz, err = e.cache.FragmentGz(p, view, e.cfg.GzipLevel)
+			if err != nil {
+				splice = false
 			}
+		}
+		if ownFrag == nil {
+			ownFrag = e.cache.Fragment(p, view)
 		}
 	} else {
 		job.Profile = wire.ProfileToMsg(p, view)
-		job.Candidates = msgs
-		if jsonDst == nil {
-			jsonDst = make([]byte, 0, 96+len(job.Profile.Liked)*11)
+	}
+	var sp *wire.GzSplicer
+	if splice {
+		s := wire.BeginGzSplice(gzDst, e.cfg.GzipLevel, len(jsonDst))
+		sp = &s
+	}
+	jsonBody = e.assembleWithCache(jsonDst, &job, ownFrag, sc.frags, sp, ownGz, sc.fragGz)
+	if splice {
+		gzBody = sp.Finish(jsonBody)
+		// Splicing trades compression ratio for CPU: stored-block glue
+		// and per-fragment framing can outweigh the deflate win when
+		// profiles are tiny. Ship the spliced form only when it actually
+		// compressed; otherwise discard it and let the caller
+		// whole-buffer gzip the (small, cheap) body.
+		if len(gzBody)-len(gzDst) < len(jsonBody)-len(jsonDst) {
+			return jsonBody, gzBody, true
 		}
-		jsonBody = wire.AppendJob(jsonDst, &job, nil)
 	}
 	return jsonBody, nil, false
 }
@@ -1131,27 +1033,33 @@ func (e *Engine) ResetCandidateStats() {
 }
 
 // RandomUsers draws up to n distinct users uniformly from the engine's
-// roster under its seeded RNG, excluding `exclude`. Samplers use it for
-// the k-random-users component of the §3.1 rule; a cluster peer sampler
-// uses it to draw exchange candidates from sibling partitions. The RNG
-// is sharded by `exclude` (the requesting user), so concurrent job
-// assemblies for different users draw without contending on one lock.
+// roster under its seeded RNG, excluding `exclude`; n <= 0 draws none.
+// Samplers use it for the k-random-users component of the §3.1 rule; a
+// cluster peer sampler uses it to draw exchange candidates from sibling
+// partitions. It reads the published table view, so no roster lock is
+// held per draw.
 func (e *Engine) RandomUsers(n int, exclude core.UserID) []core.UserID {
-	s := &e.rngs[shardOf(exclude)]
-	if v := e.pinView(); v != nil {
-		// Draw from the pinned roster: same stream and dedup semantics
-		// as the locked path, without holding rosterMu per draw.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		out := v.randomUsers(make([]core.UserID, 0, n), s.rng, n, exclude)
-		if len(out) == 0 {
-			return nil
-		}
-		return out
+	if n <= 0 {
+		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return e.profiles.RandomUsers(s.rng, n, exclude)
+	v := e.pinView()
+	out := e.randomFrom(v, make([]core.UserID, 0, min(n, v.NumUsers())), n, exclude)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// randomFrom appends up to n distinct users drawn from v's roster,
+// excluding `exclude`. The RNG is sharded by `exclude` (the requesting
+// user), so concurrent job assemblies for different users draw without
+// contending on one lock.
+func (e *Engine) randomFrom(v *TableView, dst []core.UserID, n int, exclude core.UserID) []core.UserID {
+	sh := &e.rngs[shardOf(exclude)]
+	sh.mu.Lock()
+	dst = v.randomUsers(dst, sh.rng, n, exclude)
+	sh.mu.Unlock()
+	return dst
 }
 
 // NewDefaultSampler returns the §3.1 candidate rule (one-hop ∪ two-hop ∪
@@ -1165,49 +1073,24 @@ type defaultSampler struct {
 	engine *Engine
 }
 
-var (
-	_ Sampler     = (*defaultSampler)(nil)
-	_ ViewSampler = (*defaultSampler)(nil)
-)
+var _ Sampler = (*defaultSampler)(nil)
 
-func (s *defaultSampler) Sample(u core.UserID, k int) []core.UserID {
-	e := s.engine
-	lookup := func(v core.UserID) []core.UserID { return e.knn.Get(v) }
-	random := func(_ *rand.Rand, n int, exclude core.UserID) []core.UserID {
-		return e.RandomUsers(n, exclude)
-	}
-	// The rng passed through is unused by `random` (the engine's own
-	// sharded rng is); pass a throwaway source — seeded from u's shard so
-	// concurrent samples for different users don't serialize — to satisfy
-	// the contract.
-	return core.BuildCandidateSet(u, k, lookup, random, rand.New(rand.NewSource(e.shardSeed(u))))
-}
-
-// SampleView implements ViewSampler with a one-shot scratch; callers that
-// hold an assembly scratch (the engine itself) use sampleViewInto and
-// skip the copy.
-func (s *defaultSampler) SampleView(v *TableView, u core.UserID, k int) []core.UserID {
+// Sample implements Sampler with a one-shot scratch; the engine itself
+// calls sampleInto with its assembly scratch and skips the copy.
+func (s *defaultSampler) Sample(v *TableView, u core.UserID, k int) []core.UserID {
 	sc := getScratch()
 	defer releaseScratch(sc)
-	got := s.sampleViewInto(v, sc, u, k)
-	out := make([]core.UserID, len(got))
-	copy(out, got)
-	return out
+	return slices.Clone(s.sampleInto(v, sc, u, k))
 }
 
-// sampleViewInto runs the §3.1 rule entirely against the pinned view,
-// building into sc (the result aliases sc.cands). The draw sequence is
-// identical to Sample over the same table state: same shard-seeded rng
-// stream, same one-hop/two-hop/random order, same dedup.
-func (s *defaultSampler) sampleViewInto(v *TableView, sc *assembleScratch, u core.UserID, k int) []core.UserID {
+// sampleInto runs the §3.1 rule entirely against the pinned view,
+// building into sc (the result aliases sc.cands): a shard-seeded rng
+// stream, then the one-hop/two-hop/random order with dedup.
+func (s *defaultSampler) sampleInto(v *TableView, sc *assembleScratch, u core.UserID, k int) []core.UserID {
 	e := s.engine
-	random := func(rng *rand.Rand, n int, exclude core.UserID) []core.UserID {
-		// The locked path routes through Engine.RandomUsers, which draws
-		// from the engine's exclude-sharded rng; mirror that exactly.
-		sh := &e.rngs[shardOf(exclude)]
-		sh.mu.Lock()
-		sc.randBuf = v.randomUsers(sc.randBuf[:0], sh.rng, n, exclude)
-		sh.mu.Unlock()
+	random := func(_ *rand.Rand, n int, exclude core.UserID) []core.UserID {
+		// Draw from the engine's exclude-sharded rng, as RandomUsers does.
+		sc.randBuf = e.randomFrom(v, sc.randBuf[:0], n, exclude)
 		return sc.randBuf
 	}
 	sc.cands = core.BuildCandidateSetInto(sc.cands[:0], sc.seen, u, k,
@@ -1215,8 +1098,8 @@ func (s *defaultSampler) sampleViewInto(v *TableView, sc *assembleScratch, u cor
 	return sc.cands
 }
 
-// shardSeed draws the throwaway-rng seed for u's assembly from u's rng
-// shard — one draw per job, identical on the locked and snapshot paths.
+// shardSeed draws the seed of u's per-job sampling rng from u's rng
+// shard — one draw per job.
 func (e *Engine) shardSeed(u core.UserID) int64 {
 	sh := &e.rngs[shardOf(u)]
 	sh.mu.Lock()

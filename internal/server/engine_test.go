@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -197,10 +196,12 @@ func TestDisableAnonymizer(t *testing.T) {
 	}
 }
 
+// TestJobPayloadCachedMatchesUncached: the payload assembled from cached
+// fragments equals wire.AppendJob over Engine.Job on a twin engine with
+// the same state and seed.
 func TestJobPayloadCachedMatchesUncached(t *testing.T) {
-	mk := func(disableCache bool) []byte {
+	mk := func() *Engine {
 		cfg := testConfig()
-		cfg.DisableProfileCache = disableCache
 		cfg.DisableAnonymizer = true // same IDs on both sides
 		cfg.Seed = 7
 		e := NewEngine(cfg)
@@ -209,21 +210,11 @@ func TestJobPayloadCachedMatchesUncached(t *testing.T) {
 				e.Rate(tctx, u, i+core.ItemID(u), i%2 == 0)
 			}
 		}
-		jsonBody, gz, err := e.JobPayload(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sanity: the payload round-trips through gzip.
-		raw, err := wire.Decompress(gz)
-		if err != nil || !bytes.Equal(raw, jsonBody) {
-			t.Fatal("gzip payload mismatch")
-		}
-		return jsonBody
+		return e
 	}
-	withCache := mk(false)
-	withoutCache := mk(true)
-	if !bytes.Equal(withCache, withoutCache) {
-		t.Fatalf("cached assembly differs:\n%s\n%s", withCache, withoutCache)
+	cached, twin := mk(), mk()
+	for u := core.UserID(1); u <= 20; u++ {
+		assertPayloadMatchesJob(t, cached, twin, u)
 	}
 }
 
@@ -297,7 +288,7 @@ func TestSetSamplerCustom(t *testing.T) {
 
 type samplerFunc func(core.UserID, int) []core.UserID
 
-func (f samplerFunc) Sample(u core.UserID, k int) []core.UserID { return f(u, k) }
+func (f samplerFunc) Sample(_ *TableView, u core.UserID, k int) []core.UserID { return f(u, k) }
 
 func TestSamplerUsesTwoHopNeighbors(t *testing.T) {
 	e := NewEngine(testConfig())
@@ -306,7 +297,7 @@ func TestSamplerUsesTwoHopNeighbors(t *testing.T) {
 	}
 	e.KNN().Put(1, []core.UserID{2})
 	e.KNN().Put(2, []core.UserID{3})
-	got := e.sampler.Sample(1, 3)
+	got := e.sampler.Sample(e.pinView(), 1, 3)
 	has := map[core.UserID]bool{}
 	for _, u := range got {
 		has[u] = true

@@ -80,7 +80,7 @@ func frameCall(t *testing.T, cn *frame.Conn, ft frame.Type, stream uint64, paylo
 // fetches assemble byte-identical payloads.
 type fixedOrderSampler struct{ users []core.UserID }
 
-func (s fixedOrderSampler) Sample(u core.UserID, _ int) []core.UserID {
+func (s fixedOrderSampler) Sample(_ *TableView, u core.UserID, _ int) []core.UserID {
 	var out []core.UserID
 	for _, c := range s.users {
 		if c != u {

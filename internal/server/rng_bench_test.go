@@ -1,8 +1,6 @@
 package server
 
 import (
-	"math/rand"
-	"sync"
 	"testing"
 
 	"hyrec/internal/core"
@@ -35,26 +33,6 @@ func BenchmarkRandomUsersParallel(b *testing.B) {
 		u := core.UserID(1)
 		for pb.Next() {
 			e.RandomUsers(10, u)
-			u++
-		}
-	})
-}
-
-// BenchmarkRandomUsersGlobalLockParallel is the pre-refactor baseline:
-// every draw serializes on one mutex around one RNG, exactly as the old
-// Engine.rngMu did. Compare against BenchmarkRandomUsersParallel at
-// -cpu > 1 to see the sharding win.
-func BenchmarkRandomUsersGlobalLockParallel(b *testing.B) {
-	e := benchEngine(b)
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		u := core.UserID(1)
-		for pb.Next() {
-			mu.Lock()
-			e.Profiles().RandomUsers(rng, 10, u)
-			mu.Unlock()
 			u++
 		}
 	})

@@ -28,8 +28,8 @@ type RandomOnlySampler struct {
 var _ Sampler = RandomOnlySampler{}
 
 // Sample implements Sampler.
-func (s RandomOnlySampler) Sample(u core.UserID, k int) []core.UserID {
-	return s.Engine.RandomUsers(core.MaxCandidateSetSize(k), u)
+func (s RandomOnlySampler) Sample(v *TableView, u core.UserID, k int) []core.UserID {
+	return s.Engine.randomFrom(v, nil, core.MaxCandidateSetSize(k), u)
 }
 
 // NoRandomSampler keeps the one-hop ∪ two-hop aggregation but drops the
@@ -45,17 +45,12 @@ type NoRandomSampler struct {
 var _ Sampler = NoRandomSampler{}
 
 // Sample implements Sampler.
-func (s NoRandomSampler) Sample(u core.UserID, k int) []core.UserID {
+func (s NoRandomSampler) Sample(v *TableView, u core.UserID, k int) []core.UserID {
 	e := s.Engine
-	lookup := func(v core.UserID) []core.UserID { return e.knn.Get(v) }
 	noRandom := func(*rand.Rand, int, core.UserID) []core.UserID { return nil }
-	sh := &e.rngs[shardOf(u)]
-	sh.mu.Lock()
-	seed := sh.rng.Int63()
-	sh.mu.Unlock()
-	out := core.BuildCandidateSet(u, k, lookup, noRandom, rand.New(rand.NewSource(seed)))
+	out := core.BuildCandidateSet(u, k, v.KNN, noRandom, rand.New(rand.NewSource(e.shardSeed(u))))
 	if len(out) == 0 {
-		return e.RandomUsers(1, u)
+		return e.randomFrom(v, nil, 1, u)
 	}
 	return out
 }

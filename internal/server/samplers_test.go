@@ -21,7 +21,7 @@ func TestRandomOnlySamplerBudgetAndExclusion(t *testing.T) {
 	e := populatedEngine(t, 300)
 	s := RandomOnlySampler{Engine: e}
 	const k = 5
-	got := s.Sample(7, k)
+	got := s.Sample(e.pinView(), 7, k)
 	if len(got) == 0 || len(got) > core.MaxCandidateSetSize(k) {
 		t.Fatalf("sample size %d outside (0, %d]", len(got), core.MaxCandidateSetSize(k))
 	}
@@ -44,7 +44,7 @@ func TestNoRandomSamplerPureTwoHop(t *testing.T) {
 	e.KNN().Put(2, []core.UserID{1, 3})
 	e.KNN().Put(3, []core.UserID{1, 2})
 	s := NoRandomSampler{Engine: e}
-	got := s.Sample(1, 2)
+	got := s.Sample(e.pinView(), 1, 2)
 	for _, v := range got {
 		if v != 2 && v != 3 {
 			t.Fatalf("no-random sampler escaped the clique: %v in %v", v, got)
@@ -58,7 +58,7 @@ func TestNoRandomSamplerPureTwoHop(t *testing.T) {
 func TestNoRandomSamplerBootstrapsEmptyKNN(t *testing.T) {
 	e := populatedEngine(t, 20)
 	s := NoRandomSampler{Engine: e}
-	got := s.Sample(1, 4) // user 1 has no KNN entry yet
+	got := s.Sample(e.pinView(), 1, 4) // user 1 has no KNN entry yet
 	if len(got) != 1 {
 		t.Fatalf("bootstrap sample = %v, want one random candidate", got)
 	}
@@ -102,7 +102,7 @@ func TestRandomComponentEscapesLocalOptimum(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			p := e.Profiles().Get(1)
 			var candidates []core.Profile
-			for _, c := range s.Sample(1, e.Config().K) {
+			for _, c := range s.Sample(e.pinView(), 1, e.Config().K) {
 				candidates = append(candidates, e.Profiles().Get(c))
 			}
 			hood := core.SelectKNN(p, candidates, e.Config().K, metric)

@@ -6,7 +6,6 @@
 package server
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -224,33 +223,6 @@ func (t *ProfileTable) Len() int {
 	t.rosterMu.RLock()
 	defer t.rosterMu.RUnlock()
 	return len(t.roster)
-}
-
-// RandomUsers draws n users uniformly (with replacement across draws, but
-// without duplicates in one call), excluding `exclude`. Fewer than n are
-// returned when the population is too small.
-func (t *ProfileTable) RandomUsers(rng *rand.Rand, n int, exclude core.UserID) []core.UserID {
-	t.rosterMu.RLock()
-	defer t.rosterMu.RUnlock()
-	total := len(t.roster)
-	if total == 0 || n <= 0 {
-		return nil
-	}
-	out := make([]core.UserID, 0, n)
-	seen := make(map[core.UserID]struct{}, n)
-	// Cap attempts so a tiny population cannot loop forever.
-	for attempts := 0; len(out) < n && attempts < 8*n; attempts++ {
-		u := t.roster[rng.Intn(total)]
-		if u == exclude {
-			continue
-		}
-		if _, dup := seen[u]; dup {
-			continue
-		}
-		seen[u] = struct{}{}
-		out = append(out, u)
-	}
-	return out
 }
 
 // ForEach invokes fn on a snapshot of every (user, profile) pair. The

@@ -51,13 +51,20 @@ func TestProfileTableUpdate(t *testing.T) {
 	}
 }
 
-func TestProfileTableRandomUsers(t *testing.T) {
-	tb := NewProfileTable()
-	for u := core.UserID(0); u < 50; u++ {
-		tb.Put(core.NewProfile(u))
+// viewEngine returns an engine whose profile table holds users
+// [0, n), so its pinned view has a roster to draw from.
+func viewEngine(n int) *Engine {
+	e := NewEngine(DefaultConfig())
+	for u := core.UserID(0); u < core.UserID(n); u++ {
+		e.Profiles().Put(core.NewProfile(u))
 	}
+	return e
+}
+
+func TestProfileTableRandomUsers(t *testing.T) {
+	e := viewEngine(50)
 	rng := rand.New(rand.NewSource(1))
-	got := tb.RandomUsers(rng, 10, 7)
+	got := e.pinView().randomUsers(nil, rng, 10, 7)
 	if len(got) != 10 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -74,36 +81,47 @@ func TestProfileTableRandomUsers(t *testing.T) {
 }
 
 func TestProfileTableRandomUsersSmallPopulation(t *testing.T) {
-	tb := NewProfileTable()
-	tb.Put(core.NewProfile(1))
+	e := NewEngine(DefaultConfig())
+	e.Profiles().Put(core.NewProfile(1))
+	v := e.pinView()
 	rng := rand.New(rand.NewSource(1))
 	// Asking for more users than exist must terminate and return what's
 	// available (possibly less).
-	got := tb.RandomUsers(rng, 5, 1)
+	got := v.randomUsers(nil, rng, 5, 1)
 	if len(got) != 0 {
 		t.Fatalf("only excluded user exists, got %v", got)
 	}
-	if got := tb.RandomUsers(rng, 3, 99); len(got) != 1 {
+	if got := v.randomUsers(nil, rng, 3, 99); len(got) != 1 {
 		t.Fatalf("got %v, want just user 1", got)
 	}
 	// Empty table.
-	empty := NewProfileTable()
-	if got := empty.RandomUsers(rng, 3, 0); got != nil {
+	empty := NewEngine(DefaultConfig())
+	if got := empty.pinView().randomUsers(nil, rng, 3, 0); got != nil {
 		t.Fatalf("empty table returned %v", got)
+	}
+	if got := empty.RandomUsers(3, 0); got != nil {
+		t.Fatalf("empty engine returned %v", got)
+	}
+	// Asking for no users, or a negative count, draws none instead of
+	// sizing a buffer from the count.
+	for _, n := range []int{0, -1, -100} {
+		if got := e.RandomUsers(n, 0); got != nil {
+			t.Fatalf("RandomUsers(%d) = %v, want nil", n, got)
+		}
+		if got := v.randomUsers(nil, rng, n, 0); got != nil {
+			t.Fatalf("randomUsers(%d) = %v, want nil", n, got)
+		}
 	}
 }
 
 func TestProfileTableRandomUsersUniformish(t *testing.T) {
-	tb := NewProfileTable()
 	const n = 20
-	for u := core.UserID(0); u < n; u++ {
-		tb.Put(core.NewProfile(u))
-	}
+	v := viewEngine(n).pinView()
 	rng := rand.New(rand.NewSource(42))
 	counts := map[core.UserID]int{}
 	const draws = 4000
 	for i := 0; i < draws; i++ {
-		for _, u := range tb.RandomUsers(rng, 1, n+1) {
+		for _, u := range v.randomUsers(nil, rng, 1, n+1) {
 			counts[u]++
 		}
 	}
@@ -135,8 +153,11 @@ func TestProfileTableForEachAndUsers(t *testing.T) {
 	}
 }
 
+// TestProfileTableConcurrent races writers against view pins and draws:
+// every pin may rebuild the view while other goroutines write.
 func TestProfileTableConcurrent(t *testing.T) {
-	tb := NewProfileTable()
+	e := NewEngine(DefaultConfig())
+	tb := e.Profiles()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -149,7 +170,7 @@ func TestProfileTableConcurrent(t *testing.T) {
 					return p.WithRating(core.ItemID(i), true)
 				})
 				tb.Get(u)
-				tb.RandomUsers(rng, 3, u)
+				e.pinView().randomUsers(nil, rng, 3, u)
 			}
 		}(g)
 	}

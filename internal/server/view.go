@@ -30,10 +30,6 @@ import (
 // staleness of *candidate* data is free in HyRec — the KNN table is an
 // approximation by design, and the requesting user's own profile is
 // always read fresh from the authoritative table.
-//
-// Config.DisableTableSnapshots retains the per-lookup locking path, both
-// as an ablation and as the baseline the capacity benchmark
-// (internal/bench, TestHotPathAllocReduction) measures the win against.
 
 // TableView is an immutable point-in-time view of one engine's Profile
 // and KNN tables. All methods are safe for unsynchronized concurrent use
@@ -73,18 +69,19 @@ func (v *TableView) KNN(u core.UserID) []core.UserID {
 // NumUsers returns the roster size at view time.
 func (v *TableView) NumUsers() int { return len(v.roster) }
 
-// randomUsers mirrors ProfileTable.RandomUsers against the pinned roster:
-// identical draw sequence and dedup semantics (so a snapshot run is
-// bit-equivalent to a locked run over the same state), but lock-free and
-// deduplicating via linear scan over the output — n is at most a few
-// dozen, and the scan beats a map allocation at that size. Results are
-// appended to dst.
+// randomUsers appends up to n users drawn uniformly from the pinned
+// roster (with replacement across calls, without duplicates in one
+// call), excluding `exclude`. Fewer than n are appended when the
+// population is too small, and none when n <= 0. It is lock-free and
+// deduplicates by a linear scan over the output — n is at most a few
+// dozen, and the scan beats a map allocation at that size.
 func (v *TableView) randomUsers(dst []core.UserID, rng *rand.Rand, n int, exclude core.UserID) []core.UserID {
 	total := len(v.roster)
 	if total == 0 || n <= 0 {
 		return dst
 	}
 	base := len(dst)
+	// Cap attempts so a tiny population cannot loop forever.
 	for attempts := 0; len(dst)-base < n && attempts < 8*n; attempts++ {
 		u := v.roster[rng.Intn(total)]
 		if u == exclude {
@@ -113,16 +110,11 @@ type viewState struct {
 	mu  sync.Mutex
 }
 
-func newViewState() *viewState { return &viewState{} }
-
 // pinView returns a view no staler than the tables were when the call
 // began, or — if another goroutine is mid-rebuild — the most recently
-// published view. Returns nil when snapshots are disabled.
+// published view. It never returns nil.
 func (e *Engine) pinView() *TableView {
-	vs := e.views
-	if vs == nil {
-		return nil
-	}
+	vs := &e.views
 	v := vs.cur.Load()
 	pg, kg, rg := e.profiles.gen.Load(), e.knn.gen.Load(), e.profiles.rosterGen.Load()
 	if v != nil && v.profGen == pg && v.knnGen == kg && v.rosterGen == rg {
@@ -203,16 +195,14 @@ func (e *Engine) rebuildView(prev *TableView) *TableView {
 	return nv
 }
 
-// SnapshotProfile returns u's profile through the published view when
-// snapshots are enabled (lock-free for any user the view knows), falling
-// back to the authoritative table. The cluster's cross-partition profile
-// resolver reads sibling partitions through this, so foreign candidate
-// lookups stop taking sibling shard locks too.
+// SnapshotProfile returns u's profile through the published view
+// (lock-free for any user the view knows), falling back to the
+// authoritative table. The cluster's cross-partition profile resolver
+// reads sibling partitions through this, so foreign candidate lookups
+// take no sibling shard locks either.
 func (e *Engine) SnapshotProfile(u core.UserID) core.Profile {
-	if v := e.pinView(); v != nil {
-		if p, ok := v.Profile(u); ok {
-			return p
-		}
+	if p, ok := e.pinView().Profile(u); ok {
+		return p
 	}
 	return e.profiles.Get(u)
 }

@@ -167,15 +167,3 @@ func TestServiceSoakCluster4(t *testing.T) {
 	defer cl.Close()
 	soakService(t, cl, soakWindow(t))
 }
-
-// TestServiceSoakLockedBaseline keeps the retained lock-based read path
-// honest under the same fire: the ablation configuration must stay
-// race-free too, or locked-vs-snapshot comparisons measure a broken
-// baseline.
-func TestServiceSoakLockedBaseline(t *testing.T) {
-	cfg := hyrec.DefaultConfig()
-	cfg.DisableTableSnapshots = true
-	eng := hyrec.NewEngine(cfg)
-	defer eng.Close()
-	soakService(t, eng, soakWindow(t)/2)
-}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 
@@ -215,10 +214,4 @@ func (c *ProfileCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.m)
-}
-
-// SortUint32 sorts ids ascending; helper shared by tests and the widget
-// when normalising wire arrays.
-func SortUint32(ids []uint32) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

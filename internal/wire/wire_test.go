@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,7 +18,7 @@ func sampleJob(rng *rand.Rand, nCandidates, profileSize int) *Job {
 		for i := range liked {
 			liked[i] = rng.Uint32() % 10000
 		}
-		SortUint32(liked)
+		slices.Sort(liked)
 		return ProfileMsg{ID: id, Liked: dedup(liked)}
 	}
 	j := &Job{UID: 42, Epoch: 3, K: 10, R: 5, Profile: mk(42)}
